@@ -17,8 +17,8 @@ import numpy as np
 
 from .potentials import EffectivePotential, PotentialSpec, decompose, effective_potential
 from .seminorms import bound_functional, weak_quasinorm, weyl_coefficient, zhat
-from .spectra1d import Grid1D, GridPolicy, count_M, count_channels
-from .spectra2d import DEFAULT_MAX_DIMENSION, count_2d_auto, radial_cutoff_m_max
+from .spectra1d import Grid1D, GridPolicy, count_M, radial_counts
+from .spectra2d import DEFAULT_MAX_DIMENSION, count_2d_auto
 
 __all__ = [
     "SweepResult", "LimitEstimate", "sweep", "estimate_limits",
@@ -62,21 +62,36 @@ class LimitEstimate:
         return 0.5 * (self.upper + self.lower)
 
 
-def _certify_joint(values_on_grid: Callable[[Grid1D], tuple], policy: GridPolicy
-                   ) -> tuple[tuple, bool]:
-    """Domain-doubling certification for a tuple of counts (all components
-    must repeat ``policy.agreements`` times)."""
-    history = []
+def _certify_batch(values_on_grid: Callable[[Grid1D, list], list], size: int,
+                   policy: GridPolicy) -> list[tuple[tuple, bool]]:
+    """Domain-doubling certification of ``size`` tuples of counts at once.
+
+    ``values_on_grid(grid, pending)`` returns the tuples of the items in
+    ``pending`` on that grid; an item is certified when every component
+    repeats ``policy.agreements`` times, and leaves the batch then.
+    """
+    history = [[] for _ in range(size)]
+    done: list = [None] * size
+    pending = list(range(size))
     for level in range(policy.max_doublings + 1):
+        if not pending:
+            break
         grid = policy.level_grid(level)
-        history.append(tuple(int(v) for v in values_on_grid(grid)))
-        if not policy.certify:
-            return history[-1], False
-        if len(history) >= policy.agreements + 1:
-            recent = history[-(policy.agreements + 1):]
-            if all(r == recent[0] for r in recent):
-                return history[-1], True
-    return history[-1], False
+        for i, values in zip(pending, values_on_grid(grid, pending)):
+            history[i].append(tuple(int(v) for v in values))
+        still = []
+        for i in pending:
+            recent = history[i][-(policy.agreements + 1):]
+            if not policy.certify:
+                done[i] = (history[i][-1], False)
+            elif len(recent) == policy.agreements + 1 and all(r == recent[0] for r in recent):
+                done[i] = (history[i][-1], True)
+            else:
+                still.append(i)
+        pending = still
+    for i in pending:
+        done[i] = (history[i][-1], False)
+    return done
 
 
 def sweep(spec: PotentialSpec, alpha_min: float, alpha_max: float, points: int,
@@ -85,8 +100,11 @@ def sweep(spec: PotentialSpec, alpha_min: float, alpha_max: float, points: int,
           threads: int = 1, label: str | None = None) -> SweepResult:
     """Count N_-(H), N_-(H~) and N_-(M) along a geometric alpha grid.
 
-    Radial potentials decouple into certified channel sums; non-radial ones
-    go through the block systems with channel-cutoff escalation.  A
+    Radial potentials decouple into channel sums: each domain-doubling level
+    counts every alpha it still has to certify in one batched Sturm pass
+    (``radial_counts``), so ``threads`` has no effect on radial specs.
+    Non-radial ones go through the block systems with channel-cutoff
+    escalation, one alpha per task on up to ``threads`` worker threads.  A
     non-converged alpha is flagged, not fatal.
     """
     if not (0 < alpha_min < alpha_max):
@@ -100,34 +118,30 @@ def sweep(spec: PotentialSpec, alpha_min: float, alpha_max: float, points: int,
     weyl = weyl_coefficient(G)
     bound_b = bound_functional(dec, G, p=p, J=J, n_theta=n_theta)
 
-    def one_alpha(alpha: float) -> tuple[int, int, int, bool]:
-        channel_flags = []
-
-        def values(grid: Grid1D) -> tuple[int, int, int]:
-            if spec.is_radial:
-                m_max = radial_cutoff_m_max(G, alpha, grid)
-                ms = [0] + [m for k in range(1, m_max + 1) for m in (k, k)]
-                counts = count_channels(G, alpha, ms, grid)
-                nm = count_M(G, alpha, grid)
-                n2d = int(np.sum(counts))
-                n_tilde = nm + int(np.sum(counts[1:]))
-                return n2d, n_tilde, nm
-            n2d, _, ok_a = count_2d_auto(spec, alpha, grid, tilde=False, n_theta=n_theta,
-                                         max_dimension=max_dimension)
-            n_tilde, _, ok_b = count_2d_auto(spec, alpha, grid, tilde=True, n_theta=n_theta,
-                                             max_dimension=max_dimension)
-            channel_flags.append(ok_a and ok_b)
-            return n2d, n_tilde, count_M(G, alpha, grid)
-
-        (n2d, n_tilde, nm), domain_ok = _certify_joint(values, policy)
-        ok = domain_ok and all(channel_flags) if channel_flags else domain_ok
-        return n2d, n_tilde, nm, ok
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one_alpha, alphas))
+    if spec.is_radial:
+        certified = _certify_batch(lambda grid, pending: radial_counts(G, alphas[pending], grid),
+                                   alphas.size, policy)
+        rows = [(*values, ok) for values, ok in certified]
     else:
-        rows = [one_alpha(a) for a in alphas]
+        def one_alpha(alpha: float) -> tuple[int, int, int, bool]:
+            channel_flags = []
+
+            def values(grid: Grid1D, pending: list) -> list:
+                n2d, _, ok_a = count_2d_auto(spec, alpha, grid, tilde=False, n_theta=n_theta,
+                                             max_dimension=max_dimension)
+                n_tilde, _, ok_b = count_2d_auto(spec, alpha, grid, tilde=True,
+                                                 n_theta=n_theta, max_dimension=max_dimension)
+                channel_flags.append(ok_a and ok_b)
+                return [(n2d, n_tilde, count_M(G, alpha, grid))]
+
+            [((n2d, n_tilde, nm), domain_ok)] = _certify_batch(values, 1, policy)
+            return n2d, n_tilde, nm, domain_ok and all(channel_flags)
+
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                rows = list(pool.map(one_alpha, alphas))
+        else:
+            rows = [one_alpha(a) for a in alphas]
     n2d = np.array([r[0] for r in rows], dtype=np.int64)
     n_tilde = np.array([r[1] for r in rows], dtype=np.int64)
     n_m = np.array([r[2] for r in rows], dtype=np.int64)

@@ -23,7 +23,8 @@ from .errors import (DomainError, MatrixSizeError, NonFiniteError, NumericalErro
 from .potentials import decompose, effective_potential
 from .seminorms import l1lp_norm, weak_norm_report, weyl_coefficient, zhat
 from .spectra1d import CountResult, Grid1D, count_M, count_channel, certified_count
-from .spectra2d import ChannelSet, assemble_full_2d, count_2d_auto, count_full_2d
+from .spectra2d import (ChannelSet, assemble_full_2d, count_2d_auto, count_full_2d,
+                        system_dimension)
 from .verify import run_suite
 
 _COMPUTE_ERRORS = (QuadratureError, NumericalError, MatrixSizeError,
@@ -128,15 +129,14 @@ def cmd_count1d(args) -> int:
 def cmd_count2d(args) -> int:
     config = load_config(args.config)
     policy = config.grid_policy
-    meta = {}
+    # one entry per certification level: (m_max, channel cutoff certified, dimension)
+    levels = []
 
     def values(grid: Grid1D):
         count, m_used, ch_ok = count_2d_auto(
             config.spec, args.alpha, grid, tilde=args.tilde,
             n_theta=config.angular_nodes, max_dimension=config.max_dimension)
-        meta["m_max_used"] = m_used if args.channels is None else args.channels
-        meta["channel_converged"] = ch_ok
-        meta["dim"] = (2 * m_used + 1) * (grid.n - 2)
+        levels.append((m_used, ch_ok, system_dimension(m_used, grid, args.tilde)))
         return count
 
     if args.channels is not None:
@@ -145,17 +145,15 @@ def cmd_count2d(args) -> int:
                                     ChannelSet(args.channels), config.angular_nodes,
                                     constrained=args.tilde,
                                     max_dimension=config.max_dimension)
-            meta["m_max_used"] = args.channels
-            meta["channel_converged"] = True
-            meta["dim"] = sys_.dimension
+            levels.append((args.channels, True, sys_.dimension))
             return count_full_2d(sys_)
 
     result = certified_count(values, policy)
     payload = {
         "count": result.count,
-        "m_max_used": meta["m_max_used"],
-        "dim": meta["dim"],
-        "converged": bool(result.converged and meta["channel_converged"]),
+        "m_max_used": max(m for m, _, _ in levels),
+        "dim": levels[-1][2],
+        "converged": bool(result.converged and all(ok for _, ok, _ in levels)),
         "tilde": bool(args.tilde),
         "alpha": args.alpha,
     }

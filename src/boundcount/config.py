@@ -117,6 +117,10 @@ _CONFIG_SCHEMA = {
     "additionalProperties": False,
 }
 
+# Built once: jsonschema.validate would re-check the schema itself against
+# its meta-schema on every document (the schema's own check is a unit test).
+_VALIDATOR = jsonschema.validators.validator_for(_CONFIG_SCHEMA)(_CONFIG_SCHEMA)
+
 
 def _profile_from_doc(doc: dict):
     shape = doc["shape"]
@@ -175,9 +179,8 @@ class RunConfig:
 
 def parse_config(doc: dict) -> RunConfig:
     """Validate a config document and build the runtime objects."""
-    try:
-        jsonschema.validate(doc, _CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
+    exc = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(doc))
+    if exc is not None:
         path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ConfigError(f"config invalid at {path}: {exc.message}") from exc
     gp = doc.get("grid_policy", {})

@@ -60,10 +60,14 @@ class RadialProfile:
     def __call__(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
         with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-            vals = np.asarray(self.func(r), dtype=float)
-        if self.support is not None:
-            lo, hi = self.support
-            vals = np.where((r >= lo) & (r <= hi), vals, 0.0)
+            if self.support is None:
+                vals = np.asarray(self.func(r), dtype=float)
+            else:
+                # func is only asked about radii inside the support
+                lo, hi = self.support
+                inside = (r >= lo) & (r <= hi)
+                vals = np.zeros(r.shape)
+                vals[inside] = self.func(r[inside])
         if not np.all(np.isfinite(vals)):
             bad = np.asarray(r)[~np.isfinite(vals)].flat[0]
             raise NonFiniteError(f"radial profile '{self.label}' non-finite at r={bad}", where=bad)
@@ -389,6 +393,11 @@ class TabulatedPotential(PotentialSpec):
             raise ConfigError("tabulated potential has negative samples")
         self._log_r = np.log(self.r_grid)
 
+    def angular_mode_hint(self):
+        """0 when every radius holds one value at all angles (the table is
+        radial), otherwise unknown."""
+        return 0 if np.all(self.values == self.values[:, :1]) else None
+
     def eval_polar(self, r, theta):
         r, theta = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(theta, dtype=float))
         shape = r.shape
@@ -405,11 +414,13 @@ class TabulatedPotential(PotentialSpec):
             # declared support: zero outside the table
         if np.any(inside):
             rr = r[inside]
+            th = self.theta_grid
             tt = np.mod(theta[inside], 2.0 * np.pi)
+            # periodic: below the first node, interpolate from the last one across 2pi
+            tt = np.where(tt < th[0], tt + 2.0 * np.pi, tt)
             lx = np.log(rr)
             i = np.clip(np.searchsorted(self._log_r, lx) - 1, 0, self.r_grid.size - 2)
             wx = (lx - self._log_r[i]) / (self._log_r[i + 1] - self._log_r[i])
-            th = self.theta_grid
             ntheta = th.size
             j = np.clip(np.searchsorted(th, tt) - 1, 0, ntheta - 1)
             j_next = (j + 1) % ntheta

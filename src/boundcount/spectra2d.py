@@ -26,8 +26,8 @@ import numpy as np
 from .errors import MatrixSizeError, NumericalError
 from .potentials import (Decomposition, EffectivePotential, PotentialSpec, RadialProfile,
                          RadialPotential, decompose, effective_potential)
-from .spectra1d import (Grid1D, SchrodingerMatrix1D, ZERO_PIVOT_SHIFT, _channel_diags,
-                        _sturm_counts, count_channels, negative_count)
+from .spectra1d import (Grid1D, ZERO_PIVOT_SHIFT, _channel_diags, block_negative_counts,
+                        channel_row_counts, radial_m_max)
 
 log = logging.getLogger(__name__)
 
@@ -71,11 +71,7 @@ def radial_cutoff_m_max(G: EffectivePotential | Callable, alpha: float, grid: Gr
     """Smallest m with m^2 >= alpha max_i G(t_i): for radial potentials the
     channel matrix K + diag(m^2 - alpha G) is then positive definite, so all
     omitted channels are provably empty at the matrix level."""
-    gvals = np.asarray(G(grid.interior), dtype=float)
-    sup = float(np.max(gvals)) if gvals.size else 0.0
-    if sup <= 0 or alpha <= 0:
-        return 0
-    return int(math.ceil(math.sqrt(alpha * sup)))
+    return radial_m_max(np.asarray(G(grid.interior), dtype=float), alpha)
 
 
 def coupled_cutoff_m_max(spec: PotentialSpec, alpha: float, grid: Grid1D,
@@ -94,6 +90,12 @@ def coupled_cutoff_m_max(spec: PotentialSpec, alpha: float, grid: Grid1D,
     sup = float(np.max(weight[live] * row[live])) if np.any(live) else 0.0
     base = int(math.ceil(math.sqrt(alpha * sup))) if sup > 0 and alpha > 0 else 0
     return base + (hint if hint is not None else k_probe) + guard
+
+
+def system_dimension(m_max: int, grid: Grid1D, constrained: bool) -> int:
+    """Order of the assembled system: 2 m_max + 1 channels on every interior
+    node, less the constant channel's t = 0 row when constrained."""
+    return ChannelSet(m_max).size * (grid.n - 2) - (1 if constrained else 0)
 
 
 @dataclass(frozen=True)
@@ -121,9 +123,7 @@ class BlockSystem2D:
 
     @property
     def dimension(self) -> int:
-        b = self.channel_set.size
-        n = self.chan_diag.shape[1]
-        return b * n - (1 if self.constraint is not None else 0)
+        return system_dimension(self.channel_set.m_max, self.grid, self.constraint is not None)
 
     def angular_residual(self, i: int) -> np.ndarray:
         """R(r_i) = A(r_i) - p_0(r_i) I in the real channel basis; built from
@@ -264,26 +264,10 @@ class _SingularPivot(Exception):
 
 
 def _count_block_diagonal(sys: BlockSystem2D) -> int:
-    """Radial fast path: per-channel scalar pivot sweeps, row-for-row the
-    same arithmetic as the 1D channel counts."""
-    chans = sys.channels
+    """Radial fast path: scalar pivot sweeps of every channel in one kernel
+    call, the constant channel split at the deleted t = 0 node."""
     off = -1.0 / sys.grid.h ** 2
-    esq = off * off
-    n_int = sys.chan_diag.shape[1]
-    if sys.constraint is None:
-        offsq = np.full((len(chans), n_int - 1), esq)
-        return int(np.sum(_sturm_counts(sys.chan_diag, offsq)))
-    total = 0
-    k = sys.constraint
-    # constant channel: two half-line blocks around the removed node
-    const_matrix = SchrodingerMatrix1D(grid=sys.grid, diag=sys.chan_diag[0],
-                                       offdiag=np.full(n_int - 1, off),
-                                       constraint_index=k)
-    total += negative_count(const_matrix)
-    if len(chans) > 1:
-        offsq = np.full((len(chans) - 1, n_int - 1), esq)
-        total += int(np.sum(_sturm_counts(sys.chan_diag[1:], offsq)))
-    return total
+    return int(np.sum(block_negative_counts(sys.chan_diag, off * off, cut=sys.constraint)))
 
 
 def _count_block_tridiagonal(sys: BlockSystem2D, shift: float = 0.0) -> int:
@@ -333,10 +317,12 @@ def count_radial_2d(v_rad: RadialProfile | EffectivePotential | Callable,
     counts over |m| <= m_max, with the cutoff chosen so omitted channels are
     positive definite by construction."""
     G = _as_effective(v_rad)
+    gvals = np.asarray(G(grid.interior), dtype=float)
     if m_max is None:
-        m_max = radial_cutoff_m_max(G, alpha, grid)
-    ms = [0] + [m for k in range(1, m_max + 1) for m in (k, k)]
-    return int(np.sum(count_channels(G, alpha, ms, grid)))
+        m_max = radial_m_max(gvals, alpha)
+    counts = channel_row_counts(gvals, grid, np.full(m_max + 1, float(alpha)),
+                                np.arange(m_max + 1))
+    return int(counts[0] + 2 * np.sum(counts[1:]))
 
 
 def _as_effective(v) -> EffectivePotential | Callable:

@@ -47,3 +47,68 @@ def dense_negative_count(diag, offdiag):
     for i in range(n - 1):
         A[i, i + 1] = A[i + 1, i] = offdiag[i]
     return int(np.sum(np.linalg.eigvalsh(A) < 0))
+
+
+def reference_sturm_pass(diag, offsq, shift=0.0, cut=None):
+    """Scalar Sturm pivot recurrence for one tridiagonal, the batched kernel's
+    reference: pivots q_i = (d_i - shift) - offsq[i-1] / q_{i-1}.  With
+    ``cut`` that node is deleted and the rest counted as two blocks.
+    Returns (negative pivots, whether a pivot was exactly zero)."""
+    n = len(diag)
+    blocks = [range(n)] if cut is None else [range(cut), range(cut + 1, n)]
+    count, zero = 0, False
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for block in blocks:
+            q = None
+            for i in block:
+                d = np.float64(diag[i]) - shift
+                q = d if q is None else d - np.float64(offsq[i - 1]) / q
+                count += bool(q < 0)
+                zero |= bool(q == 0.0)
+    return count, zero
+
+
+def reference_sturm_count(diag, offsq, shift=0.0, cut=None):
+    """reference_sturm_pass, recounted at the kernel's fixed retry shift when
+    a pivot was exactly zero."""
+    count, zero = reference_sturm_pass(diag, offsq, shift, cut)
+    if zero:
+        count, zero = reference_sturm_pass(diag, offsq, shift - 1e-12, cut)
+        assert not zero, "zero pivot persisted in the reference"
+    return count
+
+
+def reference_radial_values(G, alpha, grid):
+    """(N_-(H), N_-(H~), N_-(M)) of a radial potential on one grid by the
+    scalar recurrence, each channel m >= 1 counted once per cos/sin copy."""
+    gvals = np.asarray(G(grid.interior), dtype=float)
+    h = grid.h
+    kin = 2.0 / (h * h)
+    off = -1.0 / h ** 2
+    offsq = np.full(gvals.size - 1, off * off)
+    sup = float(np.max(gvals))
+    m_max = int(math.ceil(math.sqrt(alpha * sup))) if sup > 0 and alpha > 0 else 0
+    ms = [0] + [m for k in range(1, m_max + 1) for m in (k, k)]
+    counts = [reference_sturm_count(kin + (float(m * m) - alpha * gvals), offsq) for m in ms]
+    n_m = reference_sturm_count(kin + (0.0 - alpha * gvals), offsq, cut=grid.zero_index)
+    return sum(counts), n_m + sum(counts[1:]), n_m
+
+
+def reference_radial_sweep(G, alphas, policy):
+    """Per-alpha domain-doubling certification of reference_radial_values:
+    a list of ((n2d, n_tilde, n_m), converged, levels run)."""
+    out = []
+    for alpha in alphas:
+        history = []
+        result = None
+        for level in range(policy.max_doublings + 1):
+            history.append(reference_radial_values(G, float(alpha), policy.level_grid(level)))
+            if not policy.certify:
+                result = (history[-1], False, len(history))
+                break
+            recent = history[-(policy.agreements + 1):]
+            if len(recent) == policy.agreements + 1 and all(r == recent[0] for r in recent):
+                result = (history[-1], True, len(history))
+                break
+        out.append(result or (history[-1], False, len(history)))
+    return out

@@ -5,6 +5,8 @@ import pytest
 
 import boundcount as bc
 
+from helpers import reference_radial_sweep
+
 
 @pytest.fixture(scope="module")
 def gaussian_sweep():
@@ -68,6 +70,32 @@ def test_sweep_series_monotone_and_sandwiched(gaussian_sweep):
     assert np.all(res.n_tilde <= res.n2d)
     assert np.all(res.n2d <= res.n_tilde + 1)
     assert np.all(res.converged)
+
+
+@pytest.mark.parametrize("spec", [bc.gaussian_well(1.0, 1.0), bc.disk_well(1.0, 1.0)],
+                         ids=["gaussian", "disk"])
+def test_radial_sweep_matches_per_alpha_reference(spec):
+    # a short domain makes the certification level depend on alpha
+    policy = bc.GridPolicy(t_half=2.0, n=41, max_doublings=3, agreements=2)
+    res = bc.sweep(spec, 5.0, 60.0, 12, policy=policy, J=10)
+    G = bc.effective_potential(bc.decompose(spec))
+    want = reference_radial_sweep(G, res.alphas, policy)
+    got = [((int(a), int(b), int(c)), bool(ok))
+           for a, b, c, ok in zip(res.n2d, res.n_tilde, res.n_m, res.converged)]
+    assert got == [(values, ok) for values, ok, _ in want]
+    assert any(ok and levels == 4 for _, ok, levels in want)  # certified on level 3
+
+
+def test_radial_sweep_without_certification_reports_level_zero():
+    spec = bc.gaussian_well(1.0, 1.0)
+    policy = bc.GridPolicy(t_half=2.0, n=41, max_doublings=3, certify=False)
+    res = bc.sweep(spec, 5.0, 60.0, 6, policy=policy, J=10)
+    G = bc.effective_potential(bc.decompose(spec))
+    want = reference_radial_sweep(G, res.alphas, policy)
+    assert [(int(a), int(b), int(c)) for a, b, c in zip(res.n2d, res.n_tilde, res.n_m)] == [
+        values for values, _, _ in want]
+    assert not np.any(res.converged)
+    assert all(levels == 1 for _, _, levels in want)
 
 
 def test_sweep_validation():

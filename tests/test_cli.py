@@ -109,6 +109,46 @@ def test_count2d_and_tilde_sandwich(tmp_path, capsys):
     assert isinstance(full["converged"], bool)
 
 
+def test_count2d_tilde_dim_is_the_assembled_dimension(tmp_path, capsys):
+    doc = dict(NONRADIAL_CONFIG, grid_policy={"t_half": 6.0, "n": 241, "max_doublings": 0})
+    cfg = write_config(tmp_path, doc)
+    assert cli.main(["count2d", "--config", cfg, "--alpha", "12", "--tilde"]) == 0
+    tilde = json.loads(capsys.readouterr().out)
+    # the constant channel loses its t = 0 row
+    assert tilde["dim"] == (2 * tilde["m_max_used"] + 1) * (241 - 2) - 1
+    assert cli.main(["count2d", "--config", cfg, "--alpha", "12", "--tilde",
+                     "--channels", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["dim"] == 7 * 239 - 1
+
+
+def test_count2d_reports_every_certification_level(tmp_path, capsys, monkeypatch):
+    # level 0 needs more channels and misses its cutoff check; the last does neither
+    per_level = iter([(5, 9, False), (5, 7, True)])
+    monkeypatch.setattr(cli, "count_2d_auto", lambda *args, **kwargs: next(per_level))
+    doc = dict(DISK_CONFIG, grid_policy={"t_half": 4.0, "n": 41, "max_doublings": 1,
+                                         "agreements": 1})
+    assert cli.main(["count2d", "--config", write_config(tmp_path, doc), "--alpha", "9"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["count"] == 5
+    assert payload["m_max_used"] == 9
+    assert payload["converged"] is False
+
+
+def test_norms_on_a_tabulated_annulus(tmp_path, capsys):
+    # G is sampled at t = -e^j, where r = e^t underflows to 0, outside the table
+    table = tmp_path / "table.csv"
+    table.write_text("".join(f"{r!r},{k * np.pi / 4!r},0.5\n"
+                             for r in (0.5, 1.0, 2.0) for k in range(8)))
+    doc = {"potential": {"family": "annulus_tabulated", "params": {"path": str(table)}},
+           "truncation_index": 12}
+    assert cli.main(["norms", "--config", write_config(tmp_path, doc)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    # (4 pi)^-1 * 0.5 * pi (2^2 - 0.5^2)
+    assert payload["weyl_coeff"] == pytest.approx(0.46875, rel=1e-6)
+    assert payload["l1lp"] == 0.0
+    assert payload["zeta"][0] > 0 and not any(payload["zeta"][2:])
+
+
 def test_count2d_dimension_ceiling_is_error_code_1(tmp_path, capsys):
     doc = dict(NONRADIAL_CONFIG)
     doc.pop("max_dimension")

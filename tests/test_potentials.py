@@ -54,6 +54,24 @@ def test_eval_tabulated_constant_and_domain():
     assert bc.evaluate(spec_sup, bc.PolarPoint(10.0, 0.0)) == 0.0
 
 
+def test_tabulated_interpolates_periodically_below_the_first_node():
+    # cell-centred theta nodes (k + 1/2) 2pi/8, a single 1 per row
+    r_grid = np.array([0.5, 1.0, 2.0])
+    th_grid = (np.arange(8) + 0.5) * 2 * np.pi / 8
+    values = np.zeros((3, 8))
+    values[0, 0] = values[1, 7] = values[2, 3] = 1.0
+    spec = bc.TabulatedPotential(r_grid=r_grid, theta_grid=th_grid, values=values,
+                                 support=(0.5, 2.0))
+    assert spec.eval_polar(1.0, 0.0) == pytest.approx(0.5)
+    assert spec.eval_polar(1.0, 2 * np.pi - 1e-12) == pytest.approx(0.5)
+    assert bc.radial_part(spec, np.array([0.5, 0.8, 1.0, 1.7])) == pytest.approx(0.125)
+    dec = bc.decompose(spec)
+    radii = np.array([0.6, 1.0, 1.5])
+    theta = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
+    nrad = dec.v_nrad(radii[:, None], theta[None, :])
+    assert np.max(np.abs(np.mean(nrad, axis=-1))) < 1e-12
+
+
 def test_tabulated_shape_mismatch_rejected():
     with pytest.raises(ConfigError):
         bc.TabulatedPotential(r_grid=np.array([1.0, 2.0]),

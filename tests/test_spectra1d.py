@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 import boundcount as bc
+from boundcount import spectra1d
 from boundcount.errors import NonFiniteError
 
-from helpers import dense_negative_count, shooting_negative_count
+from helpers import (dense_negative_count, reference_sturm_count, reference_sturm_pass,
+                     shooting_negative_count)
 
 
 # ---------------------------------------------------------------- grids and assembly
@@ -79,6 +81,80 @@ def test_zero_pivot_retry_is_deterministic():
     c2 = bc.tridiagonal_negative_count([1.0, 4.0], [2.0])
     assert c1 == c2 == 0
     assert bc.tridiagonal_negative_count([0.0], []) == 0
+
+
+def _zero_pivot_row(rng, n, at, offsq):
+    """Random diagonal whose pivot at node ``at`` is exactly 0.0."""
+    diag = rng.normal(0.0, 2.0, n)
+    q = diag[0]
+    for i in range(1, at):
+        q = diag[i] - offsq[i - 1] / q
+    diag[at] = offsq[at - 1] / q
+    return diag
+
+
+@pytest.mark.parametrize("n, cut", [(40, 17), (700, 255), (700, 256), (700, 511), (9, 0), (9, 8)])
+def test_kernel_matches_scalar_reference(n, cut, caplog):
+    # a batch longer than one node chunk when n = 700, cut on both sides of
+    # a chunk boundary, rows forced onto exact zero pivots (before, at and
+    # after the cut) and rows whose decoupled node itself is zero
+    rng = np.random.default_rng(n + cut)
+    offsq = rng.uniform(0.1, 3.0, n - 1)
+    rows = [rng.normal(0.0, 2.0, n) for _ in range(5)]
+    for at in {1, max(cut - 1, 1), min(cut + 2, n - 1), n - 1}:
+        rows.append(_zero_pivot_row(rng, n, at, offsq))
+    decoupled_zero = rng.normal(0.0, 2.0, n)
+    decoupled_zero[cut] = 0.0
+    rows.append(decoupled_zero)
+    diags = np.array(rows)
+    cut_rows = [0, 2, len(rows) - 2, len(rows) - 1]
+    want = [reference_sturm_count(d, offsq, cut=cut if r in cut_rows else None)
+            for r, d in enumerate(diags)]
+    got = spectra1d._pivot_counts(spectra1d._ExplicitRows(diags), offsq, cut=cut,
+                                  cut_rows=cut_rows)
+    assert got.tolist() == want
+    # only the rows that hit a zero are redone; a zero on the decoupled node is not one
+    zeros = [reference_sturm_pass(d, offsq, cut=cut if r in cut_rows else None)[1]
+             for r, d in enumerate(diags)]
+    assert 0 < sum(zeros) and not zeros[-1]
+    retried = [rec.getMessage() for rec in caplog.records if "zero pivots" in rec.getMessage()]
+    assert retried == [f"Sturm recurrence hit exact zero pivots in {sum(zeros)} row(s); "
+                       "retrying at shift -1e-12"]
+
+
+def test_kernel_single_rows_match_reference():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        n = int(rng.integers(1, 600))
+        diag = rng.normal(0.0, 2.0, n)
+        off = rng.normal(0.0, 1.5, n - 1)
+        assert bc.tridiagonal_negative_count(diag, off) == reference_sturm_count(diag, off * off)
+        if n >= 3:
+            k = int(rng.integers(0, n))
+            m = bc.SchrodingerMatrix1D(grid=bc.Grid1D(0.0, 1.0, n + 2), diag=diag,
+                                       offdiag=off, constraint_index=k)
+            assert bc.negative_count(m) == reference_sturm_count(diag, off * off, cut=k)
+
+
+def test_block_counts_split_only_the_cut_row():
+    rng = np.random.default_rng(11)
+    diags = rng.normal(0.0, 2.0, (4, 300))
+    counts = spectra1d.block_negative_counts(diags, 0.8, cut=150)
+    offsq = np.full(299, 0.8)
+    assert counts.tolist() == [reference_sturm_count(diags[0], offsq, cut=150)] + [
+        reference_sturm_count(d, offsq) for d in diags[1:]]
+
+
+@pytest.mark.parametrize("n", [6000, 6001, 200, 201, 4, 3])
+def test_level_grids_share_the_base_spacing(n):
+    policy = bc.GridPolicy(t_half=30.0, n=n)
+    base = policy.base_grid()
+    assert policy.level_grid(0) == base
+    for level in range(4):
+        grid = policy.level_grid(level)
+        assert grid.h == base.h
+        assert grid.t_max == 30.0 * 2 ** level
+        assert grid.has_node_at_zero
 
 
 # ---------------------------------------------------------------- count_M and channels
