@@ -11,13 +11,12 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .potentials import EffectivePotential, PotentialSpec, decompose, effective_potential
 from .seminorms import bound_functional, weak_quasinorm, weyl_coefficient, zhat
-from .spectra1d import Grid1D, GridPolicy, count_M, radial_counts
+from .spectra1d import Grid1D, GridPolicy, certified_counts, count_M, radial_counts
 from .spectra2d import DEFAULT_MAX_DIMENSION, count_2d_auto
 
 __all__ = [
@@ -62,38 +61,6 @@ class LimitEstimate:
         return 0.5 * (self.upper + self.lower)
 
 
-def _certify_batch(values_on_grid: Callable[[Grid1D, list], list], size: int,
-                   policy: GridPolicy) -> list[tuple[tuple, bool]]:
-    """Domain-doubling certification of ``size`` tuples of counts at once.
-
-    ``values_on_grid(grid, pending)`` returns the tuples of the items in
-    ``pending`` on that grid; an item is certified when every component
-    repeats ``policy.agreements`` times, and leaves the batch then.
-    """
-    history = [[] for _ in range(size)]
-    done: list = [None] * size
-    pending = list(range(size))
-    for level in range(policy.max_doublings + 1):
-        if not pending:
-            break
-        grid = policy.level_grid(level)
-        for i, values in zip(pending, values_on_grid(grid, pending)):
-            history[i].append(tuple(int(v) for v in values))
-        still = []
-        for i in pending:
-            recent = history[i][-(policy.agreements + 1):]
-            if not policy.certify:
-                done[i] = (history[i][-1], False)
-            elif len(recent) == policy.agreements + 1 and all(r == recent[0] for r in recent):
-                done[i] = (history[i][-1], True)
-            else:
-                still.append(i)
-        pending = still
-    for i in pending:
-        done[i] = (history[i][-1], False)
-    return done
-
-
 def sweep(spec: PotentialSpec, alpha_min: float, alpha_max: float, points: int,
           policy: GridPolicy | None = None, p: float = 2.0, n_theta: int = 256,
           J: int = 40, max_dimension: int = DEFAULT_MAX_DIMENSION,
@@ -104,7 +71,8 @@ def sweep(spec: PotentialSpec, alpha_min: float, alpha_max: float, points: int,
     counts every alpha it still has to certify in one batched Sturm pass
     (``radial_counts``), so ``threads`` has no effect on radial specs.
     Non-radial ones go through the block systems with channel-cutoff
-    escalation, one alpha per task on up to ``threads`` worker threads.  A
+    escalation; each level maps the alphas it still has to certify over one
+    pool of ``threads`` worker threads kept for the whole sweep.  A
     non-converged alpha is flagged, not fatal.
     """
     if not (0 < alpha_min < alpha_max):
@@ -118,34 +86,29 @@ def sweep(spec: PotentialSpec, alpha_min: float, alpha_max: float, points: int,
     weyl = weyl_coefficient(G)
     bound_b = bound_functional(dec, G, p=p, J=J, n_theta=n_theta)
 
-    if spec.is_radial:
-        certified = _certify_batch(lambda grid, pending: radial_counts(G, alphas[pending], grid),
-                                   alphas.size, policy)
-        rows = [(*values, ok) for values, ok in certified]
-    else:
-        def one_alpha(alpha: float) -> tuple[int, int, int, bool]:
-            channel_flags = []
+    cutoff_ok = np.ones(points, dtype=bool)
 
-            def values(grid: Grid1D, pending: list) -> list:
-                n2d, _, ok_a = count_2d_auto(spec, alpha, grid, tilde=False, n_theta=n_theta,
-                                             max_dimension=max_dimension)
-                n_tilde, _, ok_b = count_2d_auto(spec, alpha, grid, tilde=True,
-                                                 n_theta=n_theta, max_dimension=max_dimension)
-                channel_flags.append(ok_a and ok_b)
-                return [(n2d, n_tilde, count_M(G, alpha, grid))]
+    def coupled(grid: Grid1D, i: int) -> tuple[int, int, int]:
+        alpha = alphas[i]
+        n2d, _, ok_a = count_2d_auto(spec, alpha, grid, tilde=False, n_theta=n_theta,
+                                     max_dimension=max_dimension)
+        n_tilde, _, ok_b = count_2d_auto(spec, alpha, grid, tilde=True, n_theta=n_theta,
+                                         max_dimension=max_dimension)
+        cutoff_ok[i] &= ok_a and ok_b
+        return n2d, n_tilde, count_M(G, alpha, grid)
 
-            [((n2d, n_tilde, nm), domain_ok)] = _certify_batch(values, 1, policy)
-            return n2d, n_tilde, nm, domain_ok and all(channel_flags)
+    # worker threads start only on the first submitted task
+    with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
+        mapper = pool.map if threads > 1 else map
 
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                rows = list(pool.map(one_alpha, alphas))
-        else:
-            rows = [one_alpha(a) for a in alphas]
-    n2d = np.array([r[0] for r in rows], dtype=np.int64)
-    n_tilde = np.array([r[1] for r in rows], dtype=np.int64)
-    n_m = np.array([r[2] for r in rows], dtype=np.int64)
-    converged = np.array([r[3] for r in rows], dtype=bool)
+        def level_counts(grid: Grid1D, pending: list) -> list:
+            if spec.is_radial:
+                return radial_counts(G, alphas[pending], grid).tolist()
+            return list(mapper(lambda i: coupled(grid, i), pending))
+
+        results = certified_counts(level_counts, points, policy)
+    n2d, n_tilde, n_m = np.array([r.count for r in results], dtype=np.int64).T
+    converged = np.array([r.converged for r in results], dtype=bool) & cutoff_ok
     return SweepResult(alphas=alphas, n2d=n2d, n_tilde=n_tilde, n_m=n_m,
                        converged=converged, weyl=weyl, bound_b=bound_b, p=p,
                        label=label or spec.label)

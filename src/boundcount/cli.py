@@ -133,20 +133,18 @@ def cmd_count2d(args) -> int:
     levels = []
 
     def values(grid: Grid1D):
-        count, m_used, ch_ok = count_2d_auto(
-            config.spec, args.alpha, grid, tilde=args.tilde,
-            n_theta=config.angular_nodes, max_dimension=config.max_dimension)
+        if args.channels is None:
+            count, m_used, ch_ok = count_2d_auto(
+                config.spec, args.alpha, grid, tilde=args.tilde,
+                n_theta=config.angular_nodes, max_dimension=config.max_dimension)
+        else:
+            # pinned m_max: no cutoff escalation
+            m_used, ch_ok = args.channels, True
+            count = count_full_2d(assemble_full_2d(
+                config.spec, args.alpha, grid, ChannelSet(m_used), config.angular_nodes,
+                constrained=args.tilde, max_dimension=config.max_dimension))
         levels.append((m_used, ch_ok, system_dimension(m_used, grid, args.tilde)))
         return count
-
-    if args.channels is not None:
-        def values(grid: Grid1D):  # noqa: F811 - explicit channel override
-            sys_ = assemble_full_2d(config.spec, args.alpha, grid,
-                                    ChannelSet(args.channels), config.angular_nodes,
-                                    constrained=args.tilde,
-                                    max_dimension=config.max_dimension)
-            levels.append((args.channels, True, sys_.dimension))
-            return count_full_2d(sys_)
 
     result = certified_count(values, policy)
     payload = {
@@ -227,24 +225,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"boundcount {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=int, default=1, help="parallel worker cap")
-    common.add_argument("--seed", type=int, default=1234, help="seed for all pseudo-randomness")
-
-    p = sub.add_parser("decompose", parents=[common],
-                       help="radial/non-radial split diagnostics")
+    p = sub.add_parser("decompose", help="radial/non-radial split diagnostics")
     p.add_argument("--config", required=True)
     p.add_argument("--radii", help="comma-separated radii to report")
     p.add_argument("--out")
     p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("norms", parents=[common],
+    p = sub.add_parser("norms",
                        help="zhat sequence, quasinorms, L1Lp norm, Weyl coefficient, bound B")
     p.add_argument("--config", required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_norms)
 
-    p = sub.add_parser("count1d", parents=[common],
+    p = sub.add_parser("count1d",
                        help="1D counts: the constrained line operator or one angular channel")
     p.add_argument("--config", required=True)
     p.add_argument("--alpha", type=float, required=True)
@@ -253,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_count1d)
 
-    p = sub.add_parser("count2d", parents=[common], help="2D block-system counts")
+    p = sub.add_parser("count2d", help="2D block-system counts")
     p.add_argument("--config", required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--tilde", action="store_true",
@@ -264,16 +257,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_count2d)
 
-    p = sub.add_parser("sweep", parents=[common], help="alpha sweep to CSV")
+    p = sub.add_parser("sweep", help="alpha sweep to CSV")
     p.add_argument("--config", required=True)
     p.add_argument("--alpha-min", type=float)
     p.add_argument("--alpha-max", type=float)
     p.add_argument("--points", type=int)
     p.add_argument("--out", required=True)
     p.add_argument("--plots", help="directory for gnuplot-ready series")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker threads for non-radial potentials")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("report", parents=[common], help="checks over a sweep CSV")
+    p = sub.add_parser("report", help="checks over a sweep CSV")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--check", choices=["as2", "estim", "prop-add"], required=True)
     p.add_argument("--q", type=float, default=2.0, help="exponent for prop-add")
@@ -281,9 +276,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", help="output path (stdout otherwise)")
     p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("verify", parents=[common], help="run an invariant suite")
+    p = sub.add_parser("verify", help="run an invariant suite")
     p.add_argument("--suite", choices=["hardy", "bs", "sandwich", "radial-consistency"],
                    required=True)
+    p.add_argument("--seed", type=int, default=1234, help="seed of the suite's random cases")
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -516,11 +516,14 @@ class EffectivePotential:
 
     convention "substitution": G(t) = e^{2t} v_rad(e^t) (measure-consistent);
     convention "literal-abs":  G(t) = e^{2|t|} v_rad(e^t).
+    ``edges`` are the t-positions of the profile's support edges, where G
+    may jump; integrals over t split their panels there.
     """
 
     func: Callable[[np.ndarray], np.ndarray]
     convention: str = SUBSTITUTION
     label: str = "G"
+    edges: tuple[float, ...] = ()
 
     def __call__(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -578,8 +581,10 @@ def effective_potential(dec: Decomposition, convention: str = SUBSTITUTION) -> E
             t = np.asarray(t, dtype=float)
             # e^{2|t|} = e^{2t} * e^{-4 min(t, 0)}
             return base(t) * np.exp(-4.0 * np.minimum(t, 0.0))
+    support = dec.v_rad.support or ()
     return EffectivePotential(func=func, convention=convention,
-                              label=f"G[{dec.spec.label}]")
+                              label=f"G[{dec.spec.label}]",
+                              edges=tuple(math.log(r) for r in support if r > 0))
 
 
 def validate_nonnegative(spec: PotentialSpec, n_r: int = 48, n_theta: int = 64,

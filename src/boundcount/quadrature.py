@@ -86,7 +86,3 @@ def angular_nodes(n: int) -> tuple[np.ndarray, float]:
         raise ValueError("angular quadrature needs at least 8 nodes")
     return 2.0 * np.pi * np.arange(n) / n, 2.0 * np.pi / n
 
-
-def angular_mean(samples: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Mean over the periodic angular axis (the (2pi)^-1 integral)."""
-    return np.mean(samples, axis=axis)

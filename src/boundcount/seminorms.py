@@ -43,19 +43,42 @@ class ZhatSequence:
         return self.values[j]
 
 
+def _split_integral(f: Callable, a: float, b: float, cuts, rel_tol: float,
+                    interval_id=None) -> tuple[float, float]:
+    """adaptive_integral over [a, b] in pieces split at the ``cuts`` inside
+    it: a jump between a panel's outermost node and its edge is invisible to
+    the bisection estimate, so the jumps of f must be panel edges."""
+    points = [a, *sorted(c for c in cuts if a < c < b), b]
+    value = err = 0.0
+    for lo, hi in zip(points, points[1:]):
+        v, e = adaptive_integral(f, lo, hi, rel_tol, interval_id=interval_id)
+        value += v
+        err += e
+    return value, err
+
+
+def _jumps(G) -> tuple[tuple, list]:
+    """Where G may jump: the support edges it carries, in t, and those at
+    |t| > 1 as positions s = ln|t| of the shell integrals."""
+    edges = G.edges if isinstance(G, EffectivePotential) else ()
+    return edges, [math.log(abs(t)) for t in edges if abs(t) > 1.0]
+
+
 def zhat(G: EffectivePotential | Callable, J: int = 40, rel_tol: float = 1e-8) -> ZhatSequence:
     """Compute zhat_0..zhat_J.
 
     Shell integrals are evaluated in s = ln|t| (unit-length panels), where
-    int |t| G dt per side becomes int e^{2s} [G(e^s) + G(-e^s)] ds.
+    int |t| G dt per side becomes int e^{2s} [G(e^s) + G(-e^s)] ds.  Panels
+    are split at the support edges G carries.
     """
     if J < 1:
         raise ValueError("truncation index J must be >= 1")
     g = G if callable(G) else G.func
+    edges, cuts = _jumps(G)
     values = np.zeros(J + 1)
     errors = np.zeros(J + 1)
     try:
-        values[0], errors[0] = adaptive_integral(g, -1.0, 1.0, rel_tol, interval_id=0)
+        values[0], errors[0] = _split_integral(g, -1.0, 1.0, edges, rel_tol, interval_id=0)
     except QuadratureError as exc:
         raise QuadratureError(f"zhat entry 0 did not converge: {exc}", interval=0) from exc
 
@@ -65,8 +88,8 @@ def zhat(G: EffectivePotential | Callable, J: int = 40, rel_tol: float = 1e-8) -
 
     for j in range(1, J + 1):
         try:
-            values[j], errors[j] = adaptive_integral(shell, float(j - 1), float(j),
-                                                     rel_tol, interval_id=j)
+            values[j], errors[j] = _split_integral(shell, float(j - 1), float(j), cuts,
+                                                   rel_tol, interval_id=j)
         except QuadratureError as exc:
             raise QuadratureError(f"zhat entry {j} did not converge: {exc}", interval=j) from exc
     return ZhatSequence(values=values, errors=errors)
@@ -232,8 +255,9 @@ def weyl_coefficient(spec_or_G, n_theta: int = 256,
     substitution convention makes (4 pi)^-1 int V dx = (1/2) int_R G(t) dt.
     The |t| > 1 part is summed over unit shells in s = ln|t| (reaching t up
     to e^max_shells), so integrable tails as slow as 1/(t^2 ln t) still
-    settle; QuadratureError means the integral genuinely fails to converge
-    and the coefficient is meaningless.
+    settle; panels are split at the support edges G carries.
+    QuadratureError means the integral genuinely fails to converge and the
+    coefficient is meaningless.
     """
     if isinstance(spec_or_G, PotentialSpec):
         G = effective_potential(decompose(spec_or_G, n_theta))
@@ -242,7 +266,8 @@ def weyl_coefficient(spec_or_G, n_theta: int = 256,
     else:
         G = spec_or_G
     g = G.func if isinstance(G, EffectivePotential) else G
-    value, _ = adaptive_integral(g, -1.0, 1.0, rel_tol)
+    edges, cuts = _jumps(G)
+    value, _ = _split_integral(g, -1.0, 1.0, edges, rel_tol)
 
     def shell(s):
         t = np.exp(s)
@@ -250,7 +275,7 @@ def weyl_coefficient(spec_or_G, n_theta: int = 256,
 
     quiet = 0
     for j in range(1, max_shells + 1):
-        sj, _ = adaptive_integral(shell, float(j - 1), float(j), rel_tol, interval_id=j)
+        sj, _ = _split_integral(shell, float(j - 1), float(j), cuts, rel_tol, interval_id=j)
         value += sj
         quiet = quiet + 1 if sj <= rel_tol * max(abs(value), 1e-300) else 0
         if quiet >= 2:

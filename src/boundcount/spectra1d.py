@@ -97,6 +97,63 @@ class GridPolicy:
 
 
 @dataclass(frozen=True)
+class CountResult:
+    """A count plus its truncation certification trail."""
+
+    count: int
+    converged: bool
+    levels: tuple = field(default_factory=tuple)
+
+    def to_dict(self):
+        return {"count": self.count, "converged": self.converged,
+                "levels": [{"t_half": th, "n": n, "count": c} for th, n, c in self.levels]}
+
+
+def certified_counts(counts_on_grid: Callable[[Grid1D, list], Sequence], size: int,
+                     policy: GridPolicy) -> list[CountResult]:
+    """Domain-doubling certification of ``size`` items at once (h is kept
+    fixed).
+
+    ``counts_on_grid(grid, pending)`` returns the values of the items in
+    ``pending`` on that grid, one comparable value (a count or a tuple of
+    counts) per item.  An item is certified once its value repeats
+    ``policy.agreements`` times in a row, and leaves the batch then; with
+    ``policy.certify`` off every item stops at level 0, unconverged.
+    """
+    trails: list[list] = [[] for _ in range(size)]
+    results: list = [None] * size
+    pending = list(range(size))
+    for level in range(policy.max_doublings + 1):
+        if not pending:
+            break
+        grid = policy.level_grid(level)
+        for i, value in zip(pending, counts_on_grid(grid, pending)):
+            trails[i].append((grid.t_max, grid.n, value))
+        still = []
+        for i in pending:
+            recent = [value for _, _, value in trails[i][-(policy.agreements + 1):]]
+            stable = (len(recent) == policy.agreements + 1
+                      and all(r == recent[0] for r in recent))
+            if stable or not policy.certify:
+                results[i] = CountResult(recent[-1], stable and policy.certify, tuple(trails[i]))
+            else:
+                still.append(i)
+        pending = still
+    for i in pending:
+        counts = [value for _, _, value in trails[i]]
+        log.info("count did not stabilize after %d domain doublings: %s",
+                 policy.max_doublings, counts)
+        results[i] = CountResult(counts[-1], False, tuple(trails[i]))
+    return results
+
+
+def certified_count(count_on_grid: Callable[[Grid1D], int], policy: GridPolicy) -> CountResult:
+    """Run ``count_on_grid`` on domain-doubled grids until the count repeats
+    ``policy.agreements`` times in a row (h is kept fixed)."""
+    return certified_counts(lambda grid, pending: [int(count_on_grid(grid))], 1, policy)[0]
+
+
+@dataclass(frozen=True)
 class SchrodingerMatrix1D:
     """Tridiagonal form of -d^2/dt^2 + W on the interior nodes.
 
@@ -349,12 +406,17 @@ def radial_counts(G: EffectivePotential | Callable, alphas, grid: Grid1D) -> np.
     plus the m = 0 row with the t = 0 node deleted, which is M.  The
     constrained count is N_-(M) plus the m >= 1 channels.
     """
+    return radial_sample_counts(_g_samples(G, grid), alphas, grid)
+
+
+def radial_sample_counts(gvals: np.ndarray, alphas, grid: Grid1D) -> np.ndarray:
+    """radial_counts on the samples ``gvals`` of G at the interior nodes of
+    ``grid``."""
     alphas = np.asarray(alphas, dtype=float)
     if not grid.has_node_at_zero:
         raise ValueError("radial counts need a grid node at t=0")
     if alphas.size == 0:
         return np.zeros((0, 3), dtype=np.int64)
-    gvals = _g_samples(G, grid)
     tops = [radial_m_max(gvals, float(alpha)) for alpha in alphas]
     # per alpha: the M row, then the channels m = 0..m_max
     ms = np.concatenate([np.arange(-1, top + 1) for top in tops]).clip(min=0)
@@ -381,37 +443,3 @@ def birman_schwinger_1d(G: EffectivePotential | Callable, eps: float, grid: Grid
     if not grid.has_node_at_zero:
         raise ValueError("Birman-Schwinger grid needs a node at t=0")
     return count_M(G, 1.0 / eps, grid)
-
-
-@dataclass(frozen=True)
-class CountResult:
-    """A count plus its truncation certification trail."""
-
-    count: int
-    converged: bool
-    levels: tuple = field(default_factory=tuple)
-
-    def to_dict(self):
-        return {"count": self.count, "converged": self.converged,
-                "levels": [{"t_half": th, "n": n, "count": c} for th, n, c in self.levels]}
-
-
-def certified_count(count_on_grid: Callable[[Grid1D], int], policy: GridPolicy) -> CountResult:
-    """Run ``count_on_grid`` on domain-doubled grids until the count repeats
-    ``policy.agreements`` times in a row (h is kept fixed)."""
-    levels = []
-    counts = []
-    for level in range(policy.max_doublings + 1):
-        grid = policy.level_grid(level)
-        c = int(count_on_grid(grid))
-        counts.append(c)
-        levels.append((grid.t_max, grid.n, c))
-        if not policy.certify:
-            return CountResult(count=c, converged=False, levels=tuple(levels))
-        if len(counts) >= policy.agreements + 1:
-            recent = counts[-(policy.agreements + 1):]
-            if all(r == recent[0] for r in recent):
-                return CountResult(count=c, converged=True, levels=tuple(levels))
-    log.info("count did not stabilize after %d domain doublings: %s",
-             policy.max_doublings, counts)
-    return CountResult(count=counts[-1], converged=False, levels=tuple(levels))

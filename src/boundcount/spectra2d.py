@@ -27,7 +27,7 @@ from .errors import MatrixSizeError, NumericalError
 from .potentials import (Decomposition, EffectivePotential, PotentialSpec, RadialProfile,
                          RadialPotential, decompose, effective_potential)
 from .spectra1d import (Grid1D, ZERO_PIVOT_SHIFT, _channel_diags, block_negative_counts,
-                        channel_row_counts, radial_m_max)
+                        channel_row_counts, radial_m_max, radial_sample_counts)
 
 log = logging.getLogger(__name__)
 
@@ -364,18 +364,17 @@ def count_2d_auto(spec: PotentialSpec, alpha: float, grid: Grid1D,
                   ) -> tuple[int, int, bool]:
     """(count, m_max used, channel cutoff certified).
 
-    Radial specs use the provable cutoff.  Non-radial specs count again with
-    ``escalation_step`` extra modes until the count stops changing; failure
-    to stabilize is flagged, never silently accepted.
+    Radial specs use the provable cutoff and count through the batched rows
+    of ``radial_counts``, the rows a radial sweep counts.  Non-radial specs
+    count again with ``escalation_step`` extra modes until the count stops
+    changing; failure to stabilize is flagged, never silently accepted.
     """
     dec = decompose(spec, n_theta)
     G = effective_potential(dec)
     if spec.is_radial:
-        m_max = radial_cutoff_m_max(G, alpha, grid)
-        sys = assemble_full_2d(spec, alpha, grid, ChannelSet(m_max), n_theta,
-                               constrained=tilde, max_dimension=max_dimension,
-                               dec=dec, G=G)
-        return count_full_2d(sys), m_max, True
+        gvals = G(grid.interior)
+        counts = radial_sample_counts(gvals, [alpha], grid)
+        return int(counts[0, int(tilde)]), radial_m_max(gvals, alpha), True
     m_max = coupled_cutoff_m_max(spec, alpha, grid, n_theta)
     counts = {}
 

@@ -106,13 +106,46 @@ def test_sweep_validation():
         bc.sweep(spec, 1.0, 10.0, 3)
 
 
-def test_sweep_threads_deterministic(gaussian_sweep):
-    spec = bc.gaussian_well(1.0, 1.0)
-    policy = bc.GridPolicy(t_half=15.0, n=3001, max_doublings=2, agreements=1)
-    res2 = bc.sweep(spec, 20.0, 200.0, 8, policy=policy, threads=3)
-    assert np.array_equal(res2.n2d, gaussian_sweep.n2d)
-    assert np.array_equal(res2.n_tilde, gaussian_sweep.n_tilde)
-    assert np.array_equal(res2.n_m, gaussian_sweep.n_m)
+# V = e^{-r^2} (1 + cos theta)
+COUPLED_SPEC = bc.fourier_sum([(0, bc.gaussian_profile(1.0, 1.0), "cos"),
+                               (1, bc.gaussian_profile(0.5, 1.0), "cos")])
+COUPLED_POLICY = bc.GridPolicy(t_half=4.0, n=81, max_doublings=1, agreements=1)
+
+
+@pytest.fixture(scope="module")
+def coupled_sweep():
+    return bc.sweep(COUPLED_SPEC, 10.0, 60.0, 4, policy=COUPLED_POLICY, J=10)
+
+
+def test_sweep_threads_deterministic(coupled_sweep):
+    res2 = bc.sweep(COUPLED_SPEC, 10.0, 60.0, 4, policy=COUPLED_POLICY, J=10, threads=2)
+    assert np.array_equal(res2.n2d, coupled_sweep.n2d)
+    assert np.array_equal(res2.n_tilde, coupled_sweep.n_tilde)
+    assert np.array_equal(res2.n_m, coupled_sweep.n_m)
+    assert np.array_equal(res2.converged, coupled_sweep.converged)
+
+
+def test_coupled_sweep_matches_per_alpha_certified_counts(coupled_sweep):
+    # with one doubling and one agreement every quantity runs both levels, so
+    # certifying each alone gives the joint rule of the sweep
+    G = bc.effective_potential(bc.decompose(COUPLED_SPEC))
+    for i, alpha in enumerate(coupled_sweep.alphas):
+        cutoff_ok = []
+
+        def auto(tilde, alpha=alpha):
+            def count(grid):
+                n, _, ok = bc.count_2d_auto(COUPLED_SPEC, alpha, grid, tilde=tilde)
+                cutoff_ok.append(ok)
+                return n
+            return count
+
+        full = bc.certified_count(auto(False), COUPLED_POLICY)
+        tilde = bc.certified_count(auto(True), COUPLED_POLICY)
+        n_m = bc.certified_count(lambda grid: bc.count_M(G, alpha, grid), COUPLED_POLICY)
+        assert (coupled_sweep.n2d[i], coupled_sweep.n_tilde[i], coupled_sweep.n_m[i]) == (
+            full.count, tilde.count, n_m.count)
+        assert coupled_sweep.converged[i] == (
+            full.converged and tilde.converged and n_m.converged and all(cutoff_ok))
 
 
 def test_check_estim_on_gaussian(gaussian_sweep):

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import boundcount as bc
 from boundcount import cli
 from boundcount.verify import SuiteReport
 
@@ -134,6 +135,33 @@ def test_count2d_reports_every_certification_level(tmp_path, capsys, monkeypatch
     assert payload["converged"] is False
 
 
+@pytest.mark.parametrize("tilde", [False, True], ids=["full", "tilde"])
+def test_radial_count2d_matches_radial_counts_on_every_level(tmp_path, capsys, monkeypatch,
+                                                             tilde):
+    levels = []
+    auto = cli.count_2d_auto
+
+    def spy(spec, alpha, grid, **kwargs):
+        levels.append((grid, auto(spec, alpha, grid, **kwargs)))
+        return levels[-1][1]
+
+    monkeypatch.setattr(cli, "count_2d_auto", spy)
+    doc = dict(DISK_CONFIG, grid_policy={"t_half": 2.0, "n": 41, "max_doublings": 3,
+                                         "agreements": 2})
+    argv = ["count2d", "--config", write_config(tmp_path, doc), "--alpha", "30"]
+    assert cli.main(argv + (["--tilde"] if tilde else [])) == 0
+    payload = json.loads(capsys.readouterr().out)
+    G = bc.effective_potential(bc.decompose(bc.disk_well(1.0, 1.0)))
+    assert len(levels) >= 3
+    for grid, (count, m_used, ok) in levels:
+        assert count == bc.spectra1d.radial_counts(G, [30.0], grid)[0, int(tilde)]
+        assert m_used == bc.radial_cutoff_m_max(G, 30.0, grid) and ok
+    assert payload["count"] == levels[-1][1][0]
+    assert payload["m_max_used"] == max(m for _, (_, m, _) in levels)
+    assert payload["dim"] == bc.spectra2d.system_dimension(levels[-1][1][1], levels[-1][0],
+                                                           tilde)
+
+
 def test_norms_on_a_tabulated_annulus(tmp_path, capsys):
     # G is sampled at t = -e^j, where r = e^t underflows to 0, outside the table
     table = tmp_path / "table.csv"
@@ -225,3 +253,15 @@ def test_version_and_bad_subcommand(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_threads_and_seed_only_where_read(capsys):
+    parser = cli.build_parser()
+    assert parser.parse_args(["sweep", "--config", "c", "--out", "o",
+                              "--threads", "2"]).threads == 2
+    assert parser.parse_args(["verify", "--suite", "bs", "--seed", "5"]).seed == 5
+    for argv in (["count2d", "--config", "c", "--alpha", "1", "--threads", "2"],
+                 ["norms", "--config", "c", "--seed", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        assert exc.value.code == 2

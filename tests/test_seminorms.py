@@ -246,6 +246,30 @@ def test_weyl_linearity():
     assert b == pytest.approx(0.25 * 1.5 ** 2, rel=1e-10)
 
 
+@pytest.mark.parametrize("radius", [0.998, 1.002, 1.003, 1.133])
+def test_disk_jump_off_the_panel_edges(radius):
+    # G jumps at t = ln R, just beside the t = 0 panel edge for R near 1
+    G = bc.effective_potential(bc.decompose(bc.disk_well(1.0, radius)))
+    assert bc.weyl_coefficient(G) == pytest.approx(radius ** 2 / 4, rel=1e-9)
+    zhat0 = (min(radius, math.e) ** 2 - math.exp(-2.0)) / 2
+    assert bc.zhat(G, J=3).values[0] == pytest.approx(zhat0, rel=1e-9)
+
+
+def test_ring_jumps_split_the_line_and_the_shells():
+    # edges at t = ln 0.5 inside (-1, 1) and t = ln 5 inside the first shell
+    G = bc.effective_potential(bc.decompose(bc.RadialPotential(
+        profile=bc.ring_profile(1.0, 0.5, 5.0))))
+    assert bc.weyl_coefficient(G) == pytest.approx((5.0 ** 2 - 0.5 ** 2) / 4, rel=1e-9)
+    zh = bc.zhat(G, J=3).values
+    assert zh[0] == pytest.approx((math.e ** 2 - 0.5 ** 2) / 2, rel=1e-9)
+
+    def primitive(t):  # of t e^{2t}
+        return math.exp(2 * t) * (2 * t - 1) / 4
+
+    assert zh[1] == pytest.approx(primitive(math.log(5.0)) - primitive(1.0), rel=1e-9)
+    assert not np.any(zh[2:])
+
+
 def test_weyl_borderline_slow_tail_converges():
     G = bc.effective_potential(bc.decompose(bc.log_borderline(1.0)))
     val = bc.weyl_coefficient(G)
