@@ -17,7 +17,7 @@ from .potentials import (Decomposition, EffectivePotential, FourierSumPotential,
                          disk_profile, disk_well, effective_potential, evaluate,
                          fourier_sum, gaussian_profile, gaussian_well, inverse_square_ring,
                          log_borderline, log_borderline_profile, radial_part, ring_profile,
-                         tabulated_profile, validate_nonnegative)
+                         validate_nonnegative)
 from .seminorms import (WeakNormReport, ZhatSequence, bound_functional, delta_functionals,
                         l1lp_norm, n_plus, weak_norm_report, weak_quasinorm,
                         weyl_coefficient, zhat)

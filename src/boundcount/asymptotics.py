@@ -185,7 +185,7 @@ class EstimReport:
         }
 
 
-def check_estim(result: SweepResult, p: float | None = None) -> EstimReport:
+def check_estim(result: SweepResult) -> EstimReport:
     """empirical_C = max over converged alpha of (N_-(H) - 1) / (alpha B),
     with its relative variation over the top decade of swept alpha."""
     if result.bound_b <= 0:

@@ -105,7 +105,6 @@ _CONFIG_SCHEMA = {
                 "alpha_min": _POS,
                 "alpha_max": _POS,
                 "points": {"type": "integer", "minimum": 4},
-                "window_fraction": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
             },
             "required": ["alpha_min", "alpha_max", "points"],
             "additionalProperties": False,

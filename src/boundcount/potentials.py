@@ -150,22 +150,6 @@ def log_borderline_profile(c: float = 1.0) -> RadialProfile:
     return RadialProfile(v_rad, effective_1d=g_direct, label="log_borderline")
 
 
-def tabulated_profile(r_grid: np.ndarray, values: np.ndarray) -> RadialProfile:
-    """Linear interpolation in ln r; zero outside the sampled range."""
-    r_grid = np.asarray(r_grid, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if r_grid.ndim != 1 or r_grid.size < 2 or np.any(np.diff(r_grid) <= 0):
-        raise ConfigError("tabulated profile needs a strictly increasing r grid")
-    if np.any(values < 0):
-        raise ConfigError("tabulated profile values must be non-negative")
-    lr = np.log(r_grid)
-
-    def f(r):
-        return np.interp(np.log(np.maximum(r, 1e-300)), lr, values, left=0.0, right=0.0)
-
-    return RadialProfile(f, support=(r_grid[0], r_grid[-1]), label="tabulated")
-
-
 # ----------------------------------------------------------------------
 # potential specifications
 

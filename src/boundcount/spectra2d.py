@@ -19,6 +19,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -98,6 +99,36 @@ def system_dimension(m_max: int, grid: Grid1D, constrained: bool) -> int:
     return ChannelSet(m_max).size * (grid.n - 2) - (1 if constrained else 0)
 
 
+def _pair_table(channel_set: ChannelSet) -> Callable[[np.ndarray], np.ndarray]:
+    """How each channel pair (a, b) couples, decided once per channel set.
+
+    Returns the gather that maps a slice's mode row x = [p | q] (p_k =
+    Re Vhat_k with p_0 = 0, since mode 0 lives in the diagonal; q_k =
+    -Im Vhat_k; k = 0..2 m_max) to its angular residual, entrywise
+    R = c1 x[i1] + c2 x[i2].  An absent second term reads -0.0 * p_0 = -0.0,
+    the exact additive identity, so every entry keeps the value, bit for bit,
+    of the pair's own formula.
+    """
+    K = 2 * channel_set.m_max + 1
+    m = np.array([mode for _, mode in channel_set.channels])
+    sin = np.array([kind == "sin" for kind, _ in channel_set.channels])[:, None]
+    both, diff = m[:, None] + m, np.abs(m[:, None] - m)
+    const = (m[:, None] == 0) | (m == 0)
+    uses_q = sin != sin.T  # const-sin and cos-sin pairs read q
+    # first term: sqrt2 p_n or sqrt2 q_n beside the constant channel (p_0 = 0
+    # between two constants), q_{m+n} for cos-sin, p_|m-n| for equal kinds
+    i1 = np.where(uses_q, K + both, diff)
+    c1 = np.where(const, math.sqrt(2.0), 1.0)
+    # second term: +p_{m+n} for cos-cos, -p_{m+n} for sin-sin, and
+    # sign(m_sin - m_cos) q_|m-n| for cos-sin when m != n
+    same = ~const & ~uses_q
+    split = ~const & uses_q & (diff > 0)
+    i2 = np.where(same, both, np.where(split, K + diff, 0))
+    c2 = np.where(same, np.where(sin, -1.0, 1.0),
+                  np.where(split, np.sign(np.where(sin, 1, -1) * (m[:, None] - m)), -0.0))
+    return lambda x: c1 * x[i1] + c2 * x[i2]
+
+
 @dataclass(frozen=True)
 class BlockSystem2D:
     """Assembled block-tridiagonal form of the 2D quadratic form.
@@ -112,7 +143,7 @@ class BlockSystem2D:
     channel_set: ChannelSet
     alpha: float
     chan_diag: np.ndarray          # [B, n_int]
-    pmodes: np.ndarray             # [n_int, 2 m_max + 1] Re Vhat_k
+    pmodes: np.ndarray             # [n_int, 2 m_max + 1] Re Vhat_k, column 0 zero
     qmodes: np.ndarray             # [n_int, 2 m_max + 1] (1/2pi) int V sin k theta
     is_block_diagonal: bool
     constraint: int | None = None  # interior index of the t = 0 slice
@@ -125,51 +156,29 @@ class BlockSystem2D:
     def dimension(self) -> int:
         return system_dimension(self.channel_set.m_max, self.grid, self.constraint is not None)
 
+    @cached_property
+    def _pairs(self) -> Callable[[np.ndarray], np.ndarray]:
+        return _pair_table(self.channel_set)
+
+    @cached_property
+    def _t_interior(self) -> np.ndarray:
+        return self.grid.interior
+
     def angular_residual(self, i: int) -> np.ndarray:
         """R(r_i) = A(r_i) - p_0(r_i) I in the real channel basis; built from
         modes k >= 1 only, so it vanishes identically for radial potentials."""
-        chans = self.channels
-        B = len(chans)
-        p = self.pmodes[i]
-        q = self.qmodes[i]
-        R = np.zeros((B, B))
-        sqrt2 = math.sqrt(2.0)
-        for a in range(B):
-            kind_a, m = chans[a]
-            for b in range(a, B):
-                kind_b, n = chans[b]
-                if kind_a == "const" and kind_b == "const":
-                    val = 0.0
-                elif kind_a == "const":
-                    val = sqrt2 * (p[n] if kind_b == "cos" else q[n])
-                elif kind_a == "cos" and kind_b == "cos":
-                    val = (p[abs(m - n)] if m != n else 0.0) + p[m + n]
-                elif kind_a == "sin" and kind_b == "sin":
-                    val = (p[abs(m - n)] if m != n else 0.0) - p[m + n]
-                else:
-                    # one cos (mode mc), one sin (mode ms)
-                    mc, ms = (m, n) if kind_a == "cos" else (n, m)
-                    val = q[ms + mc]
-                    if ms != mc:
-                        val += math.copysign(1.0, ms - mc) * q[abs(ms - mc)]
-                R[a, b] = val
-                R[b, a] = val
-        return R
+        return self._pairs(np.concatenate((self.pmodes[i], self.qmodes[i])))
 
-    def slice_matrix(self, i: int, shift: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-        """(active channel indices, dense diagonal block) for slice i."""
-        B = self.channel_set.size
-        active = np.arange(B)
-        if self.constraint is not None and i == self.constraint:
-            active = active[1:]  # drop the constant channel at t = 0
-        D = np.diag(self.chan_diag[active, i] - shift)
+    def slice_matrix(self, i: int, shift: float = 0.0) -> tuple[int, np.ndarray]:
+        """(first active channel, dense diagonal block) for slice i: every
+        channel is active except the constant one on the constrained slice."""
+        first = int(i == self.constraint)
+        D = np.diag(self.chan_diag[first:, i] - shift)
         if not self.is_block_diagonal:
-            row = self.pmodes[i, 1:]
-            if np.any(row != 0.0) or np.any(self.qmodes[i, 1:] != 0.0):
-                t_i = self.grid.interior[i]
+            if np.any(self.pmodes[i, 1:] != 0.0) or np.any(self.qmodes[i, 1:] != 0.0):
                 R = self.angular_residual(i)
-                D = D - self.alpha * (math.exp(2.0 * t_i) * R[np.ix_(active, active)])
-        return active, D
+                D = D - self.alpha * (math.exp(2.0 * self._t_interior[i]) * R[first:, first:])
+        return first, D
 
     def to_dense(self, max_dimension: int = DEFAULT_MAX_DIMENSION) -> np.ndarray:
         """Materialize the full symmetric matrix (slice-major ordering)."""
@@ -177,27 +186,21 @@ class BlockSystem2D:
             raise MatrixSizeError(
                 f"dense dimension {self.dimension} exceeds ceiling {max_dimension}; "
                 "use fewer channels or a coarser grid")
-        n = self.chan_diag.shape[1]
+        B = self.channel_set.size
         esq_off = -1.0 / self.grid.h ** 2
-        offsets = []
-        pos = 0
-        actives = []
-        for i in range(n):
-            active, _ = self.slice_matrix(i)
-            actives.append(active)
-            offsets.append(pos)
-            pos += active.size
-        A = np.zeros((pos, pos))
-        for i in range(n):
-            active, D = self.slice_matrix(i)
-            sl = slice(offsets[i], offsets[i] + active.size)
-            A[sl, sl] = D
-            if i + 1 < n:
-                nxt = actives[i + 1]
-                common, ia, ib = np.intersect1d(active, nxt, return_indices=True)
-                for a, b in zip(ia, ib):
-                    A[offsets[i] + a, offsets[i + 1] + b] = esq_off
-                    A[offsets[i + 1] + b, offsets[i] + a] = esq_off
+        A = np.zeros((self.dimension, self.dimension))
+        pos = prev_pos = prev_first = 0
+        for i in range(self.chan_diag.shape[1]):
+            first, D = self.slice_matrix(i)
+            A[pos:pos + B - first, pos:pos + B - first] = D
+            if i > 0:
+                # channels active on both slices couple through -1/h^2
+                chans = np.arange(max(first, prev_first), B)
+                rows, cols = prev_pos + chans - prev_first, pos + chans - first
+                A[rows, cols] = esq_off
+                A[cols, rows] = esq_off
+            prev_pos, prev_first = pos, first
+            pos += B - first
         return A
 
 
@@ -236,15 +239,13 @@ def assemble_full_2d(spec: PotentialSpec, alpha: float, grid: Grid1D,
     ms = [m for _, m in channel_set.channels]
     chan_diag = _channel_diags(G, alpha, ms, grid)
     if spec.is_radial:
-        k_needed = 0
         pmodes = np.zeros((n_int, 2 * channel_set.m_max + 1))
         qmodes = np.zeros_like(pmodes)
         block_diag = True
     else:
-        k_needed = 2 * channel_set.m_max
         with np.errstate(over="ignore"):
             radii = np.exp(grid.interior)
-        vhat = fourier_modes(spec, radii, k_needed, n_theta)
+        vhat = fourier_modes(spec, radii, 2 * channel_set.m_max, n_theta)
         pmodes = vhat.real.copy()
         qmodes = (-vhat.imag).copy()
         pmodes[:, 0] = 0.0  # mode 0 lives in chan_diag via G
@@ -274,26 +275,22 @@ def _count_block_tridiagonal(sys: BlockSystem2D, shift: float = 0.0) -> int:
     """Block Schur-complement sweep: inertia of the block-tridiagonal matrix
     is the sum of the inertias of the successive pivot blocks."""
     esq = (1.0 / sys.grid.h ** 2) ** 2
-    n_int = sys.chan_diag.shape[1]
     total = 0
     prev_inv = None
-    prev_active = None
-    for i in range(n_int):
-        active, D = sys.slice_matrix(i, shift)
-        if active.size == 0:
-            prev_inv, prev_active = None, None
-            continue
+    prev_first = 0
+    for i in range(sys.chan_diag.shape[1]):
+        first, D = sys.slice_matrix(i, shift)
         if prev_inv is not None:
-            common, ia, ib = np.intersect1d(prev_active, active, return_indices=True)
-            if common.size:
-                D[np.ix_(ib, ib)] -= esq * prev_inv[np.ix_(ia, ia)]
+            # channels from k on are active on both slices
+            k = max(first, prev_first)
+            D[k - first:, k - first:] -= esq * prev_inv[k - prev_first:, k - prev_first:]
         w, U = np.linalg.eigh(D)
         wmax = float(np.max(np.abs(w)))
         if wmax == 0.0 or float(np.min(np.abs(w))) <= 1e-14 * wmax:
             raise _SingularPivot(f"near-singular pivot block at slice {i}")
         total += int(np.count_nonzero(w < 0))
         prev_inv = (U / w) @ U.T
-        prev_active = active
+        prev_first = first
     return total
 
 
@@ -346,15 +343,12 @@ def birman_schwinger_2d(spec: PotentialSpec, eps: float, grid: Grid1D,
                         max_dimension: int = DEFAULT_MAX_DIMENSION) -> int:
     """n_+(eps, B_V): negatives of (constrained stiffness - (1/eps) V-mass).
 
-    Built through the same assembly as the constrained operator at coupling
-    1/eps, which is exactly the shifted-inertia formulation of the
-    generalized eigenvalue count.
+    This is the constrained count at coupling 1/eps, which is exactly the
+    shifted-inertia formulation of the generalized eigenvalue count.
     """
     if not eps > 0:
         raise ValueError("threshold must be positive")
-    sys = assemble_full_2d(spec, 1.0 / eps, grid, channels, n_theta,
-                           constrained=True, max_dimension=max_dimension)
-    return count_full_2d(sys)
+    return count_tilde(spec, 1.0 / eps, grid, channels, n_theta, max_dimension)
 
 
 def count_2d_auto(spec: PotentialSpec, alpha: float, grid: Grid1D,
@@ -446,28 +440,24 @@ def hardy_ratio(f, which: str, grid: Grid1D) -> float:
 def potential_form(spec: PotentialSpec, channel_profiles: Sequence[tuple[str, int, Callable]],
                    grid: Grid1D, n_theta: int = 256) -> float:
     """b_V[u] = int V |u|^2 dx for u given by real channel profiles."""
-    chans = [(kind, m) for kind, m, _ in channel_profiles]
-    m_max = max((m for _, m in chans), default=0)
+    m_max = max((m for _, m, _ in channel_profiles), default=0)
     channel_set = ChannelSet(m_max)
     order = {c: i for i, c in enumerate(channel_set.channels)}
     t = grid.interior
     with np.errstate(over="ignore"):
         radii = np.exp(t)
     vhat = fourier_modes(spec, radii, 2 * m_max, n_theta)
-    pmodes = vhat.real
-    qmodes = -vhat.imag
-    sys = BlockSystem2D(grid=grid, channel_set=channel_set, alpha=1.0,
-                        chan_diag=np.zeros((channel_set.size, t.size)),
-                        pmodes=np.where(np.arange(2 * m_max + 1)[None, :] == 0, 0.0, pmodes),
-                        qmodes=qmodes, is_block_diagonal=False)
+    p0 = vhat[:, 0].real
+    modes = np.hstack((vhat.real, -vhat.imag))
+    modes[:, 0] = 0.0  # the residual's rows: mode 0 enters through p0 below
+    pairs = _pair_table(channel_set)
     U = np.zeros((channel_set.size, t.size))
     for kind, m, func in channel_profiles:
         U[order[(kind, m)]] += np.asarray(func(t), dtype=float)
-    p0 = pmodes[:, 0]
+    eye = np.eye(channel_set.size)
     total = 0.0
     for i in range(t.size):
-        R = sys.angular_residual(i)
-        A = R + np.eye(channel_set.size) * p0[i]
+        A = pairs(modes[i]) + eye * p0[i]
         u = U[:, i]
         total += math.exp(2.0 * t[i]) * float(u @ A @ u)
     return grid.h * total

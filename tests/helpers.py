@@ -112,3 +112,32 @@ def reference_radial_sweep(G, alphas, policy):
                 break
         out.append(result or (history[-1], False, len(history)))
     return out
+
+
+def reference_angular_residual(channels, p, q):
+    """Per-pair construction of the angular residual R for one slice's mode
+    rows p_k = Re Vhat_k and q_k = -Im Vhat_k, the pair table's reference."""
+    B = len(channels)
+    R = np.zeros((B, B))
+    sqrt2 = math.sqrt(2.0)
+    for a in range(B):
+        kind_a, m = channels[a]
+        for b in range(a, B):
+            kind_b, n = channels[b]
+            if kind_a == "const" and kind_b == "const":
+                val = 0.0
+            elif kind_a == "const":
+                val = sqrt2 * (p[n] if kind_b == "cos" else q[n])
+            elif kind_a == "cos" and kind_b == "cos":
+                val = (p[abs(m - n)] if m != n else 0.0) + p[m + n]
+            elif kind_a == "sin" and kind_b == "sin":
+                val = (p[abs(m - n)] if m != n else 0.0) - p[m + n]
+            else:
+                # one cos (mode mc), one sin (mode ms)
+                mc, ms = (m, n) if kind_a == "cos" else (n, m)
+                val = q[ms + mc]
+                if ms != mc:
+                    val += math.copysign(1.0, ms - mc) * q[abs(ms - mc)]
+            R[a, b] = val
+            R[b, a] = val
+    return R

@@ -71,6 +71,14 @@ def test_unknown_key_rejected(tmp_path, capsys):
     assert "config error" in err
 
 
+def test_sweep_window_fraction_rejected(tmp_path, capsys):
+    # the window comes from `report --window`; the config does not carry one
+    doc = dict(DISK_CONFIG)
+    doc["sweep"] = dict(DISK_CONFIG["sweep"], window_fraction=0.3)
+    assert cli.main(["norms", "--config", write_config(tmp_path, doc)]) == 2
+    assert "window_fraction" in capsys.readouterr().err
+
+
 def test_bad_family_params_rejected(tmp_path):
     doc = {"potential": {"family": "gaussian", "params": {"amplitude": 1.0}}}
     assert cli.main(["norms", "--config", write_config(tmp_path, doc)]) == 2

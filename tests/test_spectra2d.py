@@ -9,6 +9,7 @@ import boundcount as bc
 from boundcount.errors import MatrixSizeError
 from boundcount.potentials import PotentialSpec
 from boundcount.verify import random_fourier_spec
+from helpers import reference_angular_residual
 
 
 def dense_count(sys_):
@@ -104,6 +105,55 @@ def test_single_mode_couples_neighbors_only():
         for b, (kind_b, n) in enumerate(chans):
             if abs(m - n) != 1:
                 assert R[a, b] == 0.0
+
+
+def random_trig_spec(rng, k_max):
+    """Gaussian well plus random cos/sin modes up to k_max, so the residual
+    reads both p_|m-n| and p_{m+n} (and their q counterparts)."""
+    modes = [(0, bc.gaussian_profile(1.0, 1.0), "cos")]
+    n = int(rng.integers(1, min(k_max, 5) + 1))
+    for k in sorted(rng.choice(np.arange(1, k_max + 1), size=n, replace=False)):
+        prof = bc.gaussian_profile(float(rng.uniform(0.02, 0.1)), float(rng.uniform(0.6, 1.4)))
+        modes.append((int(k), prof, "cos" if rng.random() < 0.5 else "sin"))
+    return bc.fourier_sum(modes)
+
+
+def test_angular_residual_matches_per_pair_reference_bitwise():
+    rng = np.random.default_rng(41)
+    grid = bc.Grid1D.symmetric(4.0, 31)
+    for m_max in range(9):
+        for _ in range(2):
+            spec = random_trig_spec(rng, max(2 * m_max, 1))
+            for constrained in (False, True):
+                sys_ = bc.assemble_full_2d(spec, 6.0, grid, channels=m_max,
+                                           constrained=constrained, max_dimension=10 ** 6)
+                for i in range(sys_.chan_diag.shape[1]):
+                    R = sys_.angular_residual(i)
+                    ref = reference_angular_residual(sys_.channels, sys_.pmodes[i],
+                                                     sys_.qmodes[i])
+                    assert R.tobytes() == ref.tobytes(), (m_max, constrained, i)
+
+
+def test_potential_form_matches_per_pair_reference():
+    rng = np.random.default_rng(43)
+    grid = bc.Grid1D.symmetric(5.0, 81)
+    t = grid.interior
+    for m_max in (0, 1, 3):
+        spec = random_trig_spec(rng, 2 * m_max + 1)
+        profiles = [("const", 0, lambda t: np.exp(-t * t))]
+        for m in range(1, m_max + 1):
+            profiles += [("cos", m, lambda t, m=m: t * np.exp(-t * t / m)),
+                         ("sin", m, lambda t, m=m: np.exp(-t * t / (m + 1)))]
+        chans = bc.ChannelSet(m_max).channels
+        vhat = bc.fourier_modes(spec, np.exp(t), 2 * m_max)
+        p = np.where(np.arange(2 * m_max + 1) == 0, 0.0, vhat.real)
+        U = np.array([func(t) for _, _, func in profiles])
+        total = 0.0
+        for i in range(t.size):
+            A = reference_angular_residual(chans, p[i], -vhat.imag[i]) \
+                + np.eye(len(chans)) * vhat[i, 0].real
+            total += math.exp(2.0 * t[i]) * float(U[:, i] @ A @ U[:, i])
+        assert bc.potential_form(spec, profiles, grid) == grid.h * total
 
 
 def test_coupling_blocks_ignore_radial_changes_bitwise():
