@@ -21,9 +21,8 @@ from .potentials import (Decomposition, EffectivePotential, FourierSumPotential,
 from .seminorms import (WeakNormReport, ZhatSequence, bound_functional, delta_functionals,
                         l1lp_norm, n_plus, weak_norm_report, weak_quasinorm,
                         weyl_coefficient, zhat)
-from .spectra1d import (CountResult, Grid1D, GridPolicy, SchrodingerMatrix1D,
-                        birman_schwinger_1d, certified_count, count_M, count_channel,
-                        count_channels, discretize_1d, negative_count,
+from .spectra1d import (CountResult, Grid1D, GridPolicy, birman_schwinger_1d,
+                        certified_count, count_M, count_channel, count_channels,
                         tridiagonal_negative_count)
 from .spectra2d import (BlockSystem2D, ChannelSet, assemble_full_2d, birman_schwinger_2d,
                         count_2d_auto, count_full_2d, count_radial_2d, count_tilde,

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -31,16 +33,44 @@ _COMPUTE_ERRORS = (QuadratureError, NumericalError, MatrixSizeError,
                    NonFiniteError, DomainError, ValueError)
 
 
+@contextmanager
+def _file_arg(flag: str, path: str):
+    """Report a file argument that cannot be read or written as a config error."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot use {flag} {path}: {exc.strerror or exc}") from exc
+
+
+def _check_out_dirs(args) -> None:
+    """Fail before any computation when an output file's directory is missing."""
+    for flag in ("out", "json"):
+        path = getattr(args, flag, None)
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ConfigError(f"cannot use --{flag} {path}: No such directory")
+
+
 def _emit(payload: dict, out_path: str | None, config: RunConfig | None,
-          manifest_extra: dict | None = None) -> None:
+          manifest_extra: dict | None = None, flag: str = "--out") -> None:
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-        if config is not None:
-            write_manifest(out_path, config, manifest_extra)
+        with _file_arg(flag, out_path):
+            with open(out_path, "w") as fh:
+                fh.write(text)
+            if config is not None:
+                write_manifest(out_path, config, manifest_extra)
     else:
         sys.stdout.write(text)
+
+
+def _parse_radii(text: str) -> np.ndarray:
+    try:
+        radii = np.array([float(x) for x in text.split(",")])
+    except ValueError as exc:
+        raise ConfigError(f"bad --radii value {text!r} (expected r1,r2,...)") from exc
+    if not np.all(np.isfinite(radii) & (radii > 0)):
+        raise ConfigError(f"bad --radii value {text!r} (radii must be finite and positive)")
+    return radii
 
 
 def _parse_grid(text: str) -> Grid1D:
@@ -54,8 +84,7 @@ def _parse_grid(text: str) -> Grid1D:
 def cmd_decompose(args) -> int:
     config = load_config(args.config)
     dec = decompose(config.spec, config.angular_nodes)
-    radii = (np.array([float(x) for x in args.radii.split(",")])
-             if args.radii else np.geomspace(0.25, 4.0, 9))
+    radii = _parse_radii(args.radii) if args.radii else np.geomspace(0.25, 4.0, 9)
     theta = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
     v_rad = dec.v_rad(radii)
     nrad = dec.v_nrad(radii[:, None], theta[None, :])
@@ -175,17 +204,20 @@ def cmd_sweep(args) -> int:
                    policy=config.grid_policy, p=config.p,
                    n_theta=config.angular_nodes, J=config.truncation_index,
                    max_dimension=config.max_dimension, threads=args.threads)
-    write_sweep_csv(result, args.out)
-    write_manifest(args.out, config, {
-        "alpha_min": alpha_min, "alpha_max": alpha_max, "points": points,
-        "converged_fraction": float(np.mean(result.converged))})
+    with _file_arg("--out", args.out):
+        write_sweep_csv(result, args.out)
+        write_manifest(args.out, config, {
+            "alpha_min": alpha_min, "alpha_max": alpha_max, "points": points,
+            "converged_fraction": float(np.mean(result.converged))})
     if args.plots:
-        write_plot_files(result, args.plots)
+        with _file_arg("--plots", args.plots):
+            write_plot_files(result, args.plots)
     return 0
 
 
 def cmd_report(args) -> int:
-    result = read_sweep_csv(args.infile)
+    with _file_arg("--in", args.infile):
+        result = read_sweep_csv(args.infile)
     window = args.window
     if args.check == "as2":
         payload = check_as2(result, window).to_dict()
@@ -202,7 +234,7 @@ def cmd_report(args) -> int:
     else:
         raise ConfigError(f"unknown check {args.check!r}")
     payload["source"] = args.infile
-    _emit(payload, args.json, None)
+    _emit(payload, args.json, None, flag="--json")
     return 0
 
 
@@ -289,6 +321,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out_dirs(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -8,6 +8,7 @@ are reproducible byte for byte.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -20,65 +21,75 @@ from .potentials import (FourierSumPotential, PotentialSpec, annulus_tabulated, 
                          log_borderline, log_borderline_profile, ring_profile,
                          validate_nonnegative)
 from .spectra1d import GridPolicy
+from .spectra2d import DEFAULT_MAX_DIMENSION
 
 _NUM = {"type": "number"}
 _POS = {"type": "number", "exclusiveMinimum": 0}
 
+
+def _closed(properties: dict, required: list) -> dict:
+    """Object schema keywords that reject every key not in ``properties``."""
+    return {"properties": properties, "required": required, "additionalProperties": False}
+
+
+# What a config may name, stated once: shape or family -> (constructor, schema
+# of each keyword parameter).  The schema's oneOf and the construction
+# ``constructor(**params)`` are both read from these tables.
+_PROFILES = {
+    "gaussian": (gaussian_profile, {"amplitude": _NUM, "width": _POS}),
+    "ring": (ring_profile, {"value": _NUM, "r_lo": _NUM, "r_hi": _POS}),
+    "inverse_square_ring": (inverse_square_ring, {"value": _NUM, "r_lo": _POS, "r_hi": _POS}),
+    "disk": (disk_profile, {"depth": _NUM, "radius": _POS}),
+    "log_borderline": (log_borderline_profile, {"c": _POS}),
+}
+
 _PROFILE_SCHEMA = {
     "type": "object",
-    "oneOf": [
-        {"properties": {"shape": {"const": "gaussian"}, "amplitude": _NUM, "width": _POS},
-         "required": ["shape", "amplitude", "width"], "additionalProperties": False},
-        {"properties": {"shape": {"const": "ring"}, "value": _NUM, "r_lo": _NUM, "r_hi": _POS},
-         "required": ["shape", "value", "r_lo", "r_hi"], "additionalProperties": False},
-        {"properties": {"shape": {"const": "inverse_square_ring"},
-                        "value": _NUM, "r_lo": _POS, "r_hi": _POS},
-         "required": ["shape", "value", "r_lo", "r_hi"], "additionalProperties": False},
-        {"properties": {"shape": {"const": "disk"}, "depth": _NUM, "radius": _POS},
-         "required": ["shape", "depth", "radius"], "additionalProperties": False},
-        {"properties": {"shape": {"const": "log_borderline"}, "c": _POS},
-         "required": ["shape", "c"], "additionalProperties": False},
-    ],
+    "oneOf": [_closed({"shape": {"const": shape}, **params}, ["shape", *params])
+              for shape, (_, params) in _PROFILES.items()],
+}
+
+_MODES = {"type": "array", "minItems": 1,
+          "items": {"type": "object",
+                    **_closed({"m": {"type": "integer", "minimum": 0},
+                               "kind": {"enum": ["cos", "sin"]},
+                               "profile": _PROFILE_SCHEMA},
+                              ["m", "profile"])}}
+
+
+def _build(table: dict, kind: str, name: str, params: dict):
+    if name not in table:
+        raise ConfigError(f"unknown {kind} {name!r}")
+    return table[name][0](**params)
+
+
+def _profile_from_doc(doc: dict):
+    params = {key: value for key, value in doc.items() if key != "shape"}
+    return _build(_PROFILES, "profile shape", doc["shape"], params)
+
+
+def _fourier_sum(modes: list) -> FourierSumPotential:
+    # a mode without "kind" takes FourierSumPotential's default
+    return FourierSumPotential(modes=[
+        (int(mode["m"]), _profile_from_doc(mode["profile"]),
+         *([mode["kind"]] if "kind" in mode else []))
+        for mode in modes])
+
+
+_FAMILIES = {
+    "disk_well": (disk_well, {"depth": _NUM, "radius": _POS}),
+    "gaussian": (gaussian_well, {"amplitude": _NUM, "width": _POS}),
+    "log_borderline": (log_borderline, {"c": _POS}),
+    "fourier_sum": (_fourier_sum, {"modes": _MODES}),
+    "annulus_tabulated": (annulus_tabulated, {"path": {"type": "string"}}),
 }
 
 _POTENTIAL_SCHEMA = {
     "type": "object",
-    "oneOf": [
-        {"properties": {"family": {"const": "disk_well"},
-                        "params": {"type": "object",
-                                   "properties": {"depth": _NUM, "radius": _POS},
-                                   "required": ["depth", "radius"],
-                                   "additionalProperties": False}},
-         "required": ["family", "params"], "additionalProperties": False},
-        {"properties": {"family": {"const": "gaussian"},
-                        "params": {"type": "object",
-                                   "properties": {"amplitude": _NUM, "width": _POS},
-                                   "required": ["amplitude", "width"],
-                                   "additionalProperties": False}},
-         "required": ["family", "params"], "additionalProperties": False},
-        {"properties": {"family": {"const": "log_borderline"},
-                        "params": {"type": "object", "properties": {"c": _POS},
-                                   "required": ["c"], "additionalProperties": False}},
-         "required": ["family", "params"], "additionalProperties": False},
-        {"properties": {"family": {"const": "fourier_sum"},
-                        "params": {"type": "object",
-                                   "properties": {"modes": {
-                                       "type": "array", "minItems": 1,
-                                       "items": {"type": "object",
-                                                 "properties": {
-                                                     "m": {"type": "integer", "minimum": 0},
-                                                     "kind": {"enum": ["cos", "sin"]},
-                                                     "profile": _PROFILE_SCHEMA},
-                                                 "required": ["m", "profile"],
-                                                 "additionalProperties": False}}},
-                                   "required": ["modes"], "additionalProperties": False}},
-         "required": ["family", "params"], "additionalProperties": False},
-        {"properties": {"family": {"const": "annulus_tabulated"},
-                        "params": {"type": "object",
-                                   "properties": {"path": {"type": "string"}},
-                                   "required": ["path"], "additionalProperties": False}},
-         "required": ["family", "params"], "additionalProperties": False},
-    ],
+    "oneOf": [_closed({"family": {"const": family},
+                       "params": {"type": "object", **_closed(params, list(params))}},
+                      ["family", "params"])
+              for family, (_, params) in _FAMILIES.items()],
 }
 
 _CONFIG_SCHEMA = {
@@ -121,45 +132,18 @@ _CONFIG_SCHEMA = {
 _VALIDATOR = jsonschema.validators.validator_for(_CONFIG_SCHEMA)(_CONFIG_SCHEMA)
 
 
-def _profile_from_doc(doc: dict):
-    shape = doc["shape"]
-    if shape == "gaussian":
-        return gaussian_profile(doc["amplitude"], doc["width"])
-    if shape == "ring":
-        return ring_profile(doc["value"], doc["r_lo"], doc["r_hi"])
-    if shape == "inverse_square_ring":
-        return inverse_square_ring(doc["value"], doc["r_lo"], doc["r_hi"])
-    if shape == "disk":
-        return disk_profile(doc["depth"], doc["radius"])
-    if shape == "log_borderline":
-        return log_borderline_profile(doc["c"])
-    raise ConfigError(f"unknown profile shape {shape!r}")
-
-
 def potential_from_config(doc: dict) -> PotentialSpec:
-    family = doc["family"]
-    params = doc["params"]
-    if family == "disk_well":
-        spec = disk_well(params["depth"], params["radius"])
-    elif family == "gaussian":
-        spec = gaussian_well(params["amplitude"], params["width"])
-    elif family == "log_borderline":
-        spec = log_borderline(params["c"])
-    elif family == "fourier_sum":
-        modes = [(int(m["m"]), _profile_from_doc(m["profile"]), m.get("kind", "cos"))
-                 for m in params["modes"]]
-        spec = FourierSumPotential(modes=modes)
-    elif family == "annulus_tabulated":
-        spec = annulus_tabulated(params["path"])
-    else:
-        raise ConfigError(f"unknown potential family {family!r}")
+    spec = _build(_FAMILIES, "potential family", doc["family"], doc["params"])
     validate_nonnegative(spec)
     return spec
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run configuration: the potential plus numeric policy."""
+    """Validated run configuration: the potential plus numeric policy.
+
+    Every field but ``spec`` and ``raw`` is a top-level config key, and its
+    default here is the default of the config."""
 
     spec: PotentialSpec
     p: float = 2.0
@@ -167,7 +151,7 @@ class RunConfig:
     angular_nodes: int = 256
     grid_policy: GridPolicy = field(default_factory=GridPolicy)
     sweep: dict | None = None
-    max_dimension: int = 12000
+    max_dimension: int = DEFAULT_MAX_DIMENSION
     seed: int = 1234
     raw: dict = field(default_factory=dict)
 
@@ -182,21 +166,12 @@ def parse_config(doc: dict) -> RunConfig:
     if exc is not None:
         path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ConfigError(f"config invalid at {path}: {exc.message}") from exc
-    gp = doc.get("grid_policy", {})
-    policy = GridPolicy(t_half=gp.get("t_half", 30.0), n=gp.get("n", 6001),
-                        max_doublings=gp.get("max_doublings", 3),
-                        agreements=gp.get("agreements", 2),
-                        certify=gp.get("certify", True))
-    sweep = doc.get("sweep")
-    if sweep is not None and not sweep["alpha_min"] < sweep["alpha_max"]:
+    fields = {key: value for key, value in doc.items() if key != "potential"}
+    if "grid_policy" in fields:
+        fields["grid_policy"] = GridPolicy(**fields["grid_policy"])
+    if "sweep" in doc and not doc["sweep"]["alpha_min"] < doc["sweep"]["alpha_max"]:
         raise ConfigError("sweep needs alpha_min < alpha_max")
-    return RunConfig(spec=potential_from_config(doc["potential"]),
-                     p=doc.get("p", 2.0),
-                     truncation_index=doc.get("truncation_index", 40),
-                     angular_nodes=doc.get("angular_nodes", 256),
-                     grid_policy=policy, sweep=sweep,
-                     max_dimension=doc.get("max_dimension", 12000),
-                     seed=doc.get("seed", 1234), raw=doc)
+    return RunConfig(spec=potential_from_config(doc["potential"]), raw=doc, **fields)
 
 
 def load_config(path) -> RunConfig:
@@ -224,13 +199,7 @@ def manifest_for(config: RunConfig, extra: dict | None = None) -> dict:
         "config_sha256": config.digest,
         "seed": config.seed,
         "package_version": __version__,
-        "grid_policy": {
-            "t_half": config.grid_policy.t_half,
-            "n": config.grid_policy.n,
-            "max_doublings": config.grid_policy.max_doublings,
-            "agreements": config.grid_policy.agreements,
-            "certify": config.grid_policy.certify,
-        },
+        "grid_policy": dataclasses.asdict(config.grid_policy),
     }
     if extra:
         manifest.update(extra)

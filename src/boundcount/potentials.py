@@ -28,6 +28,12 @@ _T_OVERFLOW = 354.0
 SUBSTITUTION = "substitution"
 LITERAL_ABS = "literal-abs"
 
+# validate_nonnegative's diagnostic grid: CHECK_N_R log-spaced radii over
+# CHECK_R_RANGE (clipped to a declared support) times CHECK_N_THETA angles
+CHECK_N_R = 48
+CHECK_N_THETA = 64
+CHECK_R_RANGE = (math.exp(-6), math.exp(6))
+
 
 @dataclass(frozen=True)
 class PolarPoint:
@@ -571,18 +577,18 @@ def effective_potential(dec: Decomposition, convention: str = SUBSTITUTION) -> E
                               edges=tuple(math.log(r) for r in support if r > 0))
 
 
-def validate_nonnegative(spec: PotentialSpec, n_r: int = 48, n_theta: int = 64,
-                         r_lo: float = math.exp(-6), r_hi: float = math.exp(6)) -> None:
+def validate_nonnegative(spec: PotentialSpec) -> None:
     """Sample V on a diagnostic (ln r, theta) grid; negative values are a
     configuration error.  Sampling proves nothing but catches user mistakes."""
+    r_lo, r_hi = CHECK_R_RANGE
     if spec.support is not None:
         lo, hi = spec.support
         r_lo = max(r_lo, lo) if lo > 0 else r_lo
         r_hi = min(r_hi, hi) if hi > 0 else r_hi
         if not r_lo < r_hi:
             return
-    radii = np.exp(np.linspace(math.log(r_lo), math.log(r_hi), n_r))
-    theta, _ = angular_nodes(n_theta)
+    radii = np.exp(np.linspace(math.log(r_lo), math.log(r_hi), CHECK_N_R))
+    theta, _ = angular_nodes(CHECK_N_THETA)
     vals = spec.eval_polar(radii[:, None], theta[None, :])
     if np.any(vals < -1e-12 * max(1.0, float(np.max(np.abs(vals))))):
         i, j = np.argwhere(vals < 0)[0]

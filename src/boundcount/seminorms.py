@@ -20,6 +20,11 @@ from .errors import QuadratureError
 from .potentials import Decomposition, EffectivePotential, PotentialSpec, decompose, effective_potential
 from .quadrature import adaptive_integral, angular_nodes
 
+# default_window spans this fraction of the distinct thresholds above the floor
+WINDOW_TAIL_FRACTION = 0.3
+# l1lp_norm's tail check integrates this many units of t beyond each end
+L1LP_TAIL_MARGIN = 6.0
+
 
 @dataclass(frozen=True)
 class ZhatSequence:
@@ -172,8 +177,8 @@ def delta_functionals(x, q: float = 1.0, window: tuple[float, float] | None = No
     return float(max(candidates_max)), float(min(candidates_min))
 
 
-def default_window(x, tail_fraction: float = 0.3) -> tuple[float, float]:
-    """Epsilon window over the smallest ``tail_fraction`` of the distinct
+def default_window(x) -> tuple[float, float]:
+    """Epsilon window over the smallest WINDOW_TAIL_FRACTION of the distinct
     nonzero thresholds strictly above the truncation floor.
 
     For a decaying sequence this is the set of thresholds its last entries
@@ -186,7 +191,7 @@ def default_window(x, tail_fraction: float = 0.3) -> tuple[float, float]:
         v = float(distinct[0])
         return v * (1.0 - 1e-9), v
     above = distinct[1:]  # strictly above the floor
-    k = max(1, int(math.ceil(tail_fraction * above.size)))
+    k = max(1, int(math.ceil(WINDOW_TAIL_FRACTION * above.size)))
     return float(above[0]), float(above[k - 1])
 
 
@@ -202,13 +207,13 @@ def weak_norm_report(x, q: float = 1.0, window: tuple[float, float] | None = Non
 
 def l1lp_norm(f, p: float = 2.0, n_theta: int = 256,
               t_lo: float = -30.0, t_hi: float = 30.0,
-              rel_tol: float = 1e-8, tail_margin: float = 6.0) -> float:
+              rel_tol: float = 1e-8) -> float:
     """int_0^inf ( int_S |f(r,theta)|^p dtheta )^{1/p} r dr.
 
     ``f`` may be a Decomposition (its non-radial part is used) or a
     broadcasting evaluator f(r, theta).  The radial integral runs in t = ln r
     over [t_lo, t_hi] with adaptive panels; a trailing check integrates
-    ``tail_margin`` further units on each side and raises QuadratureError
+    L1LP_TAIL_MARGIN further units on each side and raises QuadratureError
     (carrying the partial value and the tail bound) if the tails are not
     negligible.
     """
@@ -237,8 +242,8 @@ def l1lp_norm(f, p: float = 2.0, n_theta: int = 256,
 
     value, _ = adaptive_integral(integrand, t_lo, t_hi, rel_tol)
     scale = max(abs(value), 1e-300)
-    tail_hi, _ = adaptive_integral(integrand, t_hi, t_hi + tail_margin, 1e-4)
-    tail_lo, _ = adaptive_integral(integrand, t_lo - tail_margin, t_lo, 1e-4)
+    tail_hi, _ = adaptive_integral(integrand, t_hi, t_hi + L1LP_TAIL_MARGIN, 1e-4)
+    tail_lo, _ = adaptive_integral(integrand, t_lo - L1LP_TAIL_MARGIN, t_lo, 1e-4)
     tail = tail_hi + tail_lo
     if tail > 100.0 * rel_tol * scale:
         raise QuadratureError(

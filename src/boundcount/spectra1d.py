@@ -153,54 +153,6 @@ def certified_count(count_on_grid: Callable[[Grid1D], int], policy: GridPolicy) 
     return certified_counts(lambda grid, pending: [int(count_on_grid(grid))], 1, policy)[0]
 
 
-@dataclass(frozen=True)
-class SchrodingerMatrix1D:
-    """Tridiagonal form of -d^2/dt^2 + W on the interior nodes.
-
-    diag = 2/h^2 + W(t_i), offdiag = -1/h^2, Dirichlet at both ends;
-    ``constraint_index`` marks an interior Dirichlet node whose removal
-    splits the matrix into two blocks.
-    """
-
-    grid: Grid1D
-    diag: np.ndarray
-    offdiag: np.ndarray
-    constraint_index: int | None = None
-
-    def blocks(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        if self.constraint_index is None:
-            return [(self.diag, self.offdiag)]
-        k = self.constraint_index
-        return [(self.diag[:k], self.offdiag[:max(k - 1, 0)]),
-                (self.diag[k + 1:], self.offdiag[k + 1:])]
-
-    @property
-    def dimension(self) -> int:
-        return self.diag.size - (0 if self.constraint_index is None else 1)
-
-
-def discretize_1d(W, grid: Grid1D, interior_dirichlet: bool = False) -> SchrodingerMatrix1D:
-    """Assemble the 3-point stencil for -d^2/dt^2 + W(t)."""
-    t = grid.interior
-    wvals = np.asarray(W(t) if callable(W) else W, dtype=float)
-    if wvals.shape != t.shape:
-        raise ValueError(f"potential samples shape {wvals.shape} != interior {t.shape}")
-    if not np.all(np.isfinite(wvals)):
-        bad = t[~np.isfinite(wvals)][0]
-        raise NonFiniteError(f"W non-finite at t={bad}", where=bad)
-    h = grid.h
-    kin = 2.0 / (h * h)
-    diag = kin + wvals
-    offdiag = np.full(t.size - 1, -1.0 / (h * h))
-    constraint = None
-    if interior_dirichlet:
-        constraint = grid.zero_index
-        if constraint is None:
-            raise ValueError("interior Dirichlet requested but the grid has no node at t=0")
-    return SchrodingerMatrix1D(grid=grid, diag=diag, offdiag=offdiag,
-                               constraint_index=constraint)
-
-
 # Node-chunk length of the pivot kernel: the largest array it builds spans
 # rows x NODE_CHUNK, never rows x nodes.
 NODE_CHUNK = 256
@@ -317,14 +269,6 @@ def tridiagonal_negative_count(diag, offdiag, shift: float = 0.0) -> int:
     if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(offdiag))):
         raise NonFiniteError("matrix entries must be finite")
     return int(_pivot_counts(_ExplicitRows(diag[None, :]), offdiag * offdiag, shift)[0])
-
-
-def negative_count(matrix: SchrodingerMatrix1D) -> int:
-    """Number of negative eigenvalues, summed over constraint blocks."""
-    if not (np.all(np.isfinite(matrix.diag)) and np.all(np.isfinite(matrix.offdiag))):
-        raise NonFiniteError("matrix entries must be finite")
-    return int(_pivot_counts(_ExplicitRows(matrix.diag[None, :]), matrix.offdiag ** 2,
-                             cut=matrix.constraint_index, cut_rows=[0])[0])
 
 
 def block_negative_counts(diags: np.ndarray, offsq: float, cut: int | None = None) -> np.ndarray:

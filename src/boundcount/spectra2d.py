@@ -34,6 +34,12 @@ log = logging.getLogger(__name__)
 
 DEFAULT_MAX_DIMENSION = 12000
 
+# Coupled channel cutoff: modes added above the Gershgorin bound and the
+# highest declared Fourier mode, then per escalation while the count changes.
+CUTOFF_GUARD = 4
+ESCALATION_STEP = 2
+MAX_ESCALATIONS = 4
+
 
 def fourier_modes(spec: PotentialSpec, r, k_max: int, n_theta: int = 256) -> np.ndarray:
     """Complex angular modes Vhat_k(r), k = 0..k_max (Vhat_{-k} = conj).
@@ -76,7 +82,7 @@ def radial_cutoff_m_max(G: EffectivePotential | Callable, alpha: float, grid: Gr
 
 
 def coupled_cutoff_m_max(spec: PotentialSpec, alpha: float, grid: Grid1D,
-                         n_theta: int = 256, guard: int = 4) -> int:
+                         n_theta: int = 256) -> int:
     """Channel cutoff for non-radial potentials: a Gershgorin-style bound on
     the total angular coupling, plus the highest declared Fourier mode and a
     guard band.  Under-truncation remains detectable by escalation."""
@@ -90,7 +96,7 @@ def coupled_cutoff_m_max(spec: PotentialSpec, alpha: float, grid: Grid1D,
     live = row > 0
     sup = float(np.max(weight[live] * row[live])) if np.any(live) else 0.0
     base = int(math.ceil(math.sqrt(alpha * sup))) if sup > 0 and alpha > 0 else 0
-    return base + (hint if hint is not None else k_probe) + guard
+    return base + (hint if hint is not None else k_probe) + CUTOFF_GUARD
 
 
 def system_dimension(m_max: int, grid: Grid1D, constrained: bool) -> int:
@@ -230,8 +236,9 @@ def assemble_full_2d(spec: PotentialSpec, alpha: float, grid: Grid1D,
         channel_set = ChannelSet(int(channels))
     B = channel_set.size
     n_int = grid.n - 2
-    # radial systems stay block-diagonal (batched 1D sweeps, no dense work),
-    # so the dense-dimension ceiling applies to coupled systems only
+    # radial systems stay block-diagonal (one pivot pass over the channels,
+    # no dense work; radial count_2d_auto counts assemble none), so the
+    # dense-dimension ceiling applies to coupled systems only
     if not spec.is_radial and B * n_int > max_dimension:
         raise MatrixSizeError(
             f"system dimension {B * n_int} exceeds ceiling {max_dimension}; "
@@ -265,8 +272,11 @@ class _SingularPivot(Exception):
 
 
 def _count_block_diagonal(sys: BlockSystem2D) -> int:
-    """Radial fast path: scalar pivot sweeps of every channel in one kernel
-    call, the constant channel split at the deleted t = 0 node."""
+    """Count of an assembled block-diagonal system (pinned channel sets,
+    ``count_tilde`` and the verification suites; ``count_2d_auto`` counts
+    radial potentials through ``radial_sample_counts`` instead):
+    scalar pivot sweeps of every channel in one kernel call, the constant
+    channel split at the deleted t = 0 node."""
     off = -1.0 / sys.grid.h ** 2
     return int(np.sum(block_negative_counts(sys.chan_diag, off * off, cut=sys.constraint)))
 
@@ -353,14 +363,12 @@ def birman_schwinger_2d(spec: PotentialSpec, eps: float, grid: Grid1D,
 
 def count_2d_auto(spec: PotentialSpec, alpha: float, grid: Grid1D,
                   tilde: bool = False, n_theta: int = 256,
-                  max_dimension: int = DEFAULT_MAX_DIMENSION,
-                  escalation_step: int = 2, max_escalations: int = 4
-                  ) -> tuple[int, int, bool]:
+                  max_dimension: int = DEFAULT_MAX_DIMENSION) -> tuple[int, int, bool]:
     """(count, m_max used, channel cutoff certified).
 
     Radial specs use the provable cutoff and count through the batched rows
     of ``radial_counts``, the rows a radial sweep counts.  Non-radial specs
-    count again with ``escalation_step`` extra modes until the count stops
+    count again with ESCALATION_STEP extra modes until the count stops
     changing; failure to stabilize is flagged, never silently accepted.
     """
     dec = decompose(spec, n_theta)
@@ -380,10 +388,10 @@ def count_2d_auto(spec: PotentialSpec, alpha: float, grid: Grid1D,
             counts[mm] = count_full_2d(sys)
         return counts[mm]
 
-    for _ in range(max_escalations):
-        if run(m_max) == run(m_max + escalation_step):
+    for _ in range(MAX_ESCALATIONS):
+        if run(m_max) == run(m_max + ESCALATION_STEP):
             return counts[m_max], m_max, True
-        m_max += escalation_step
+        m_max += ESCALATION_STEP
     log.info("channel cutoff did not stabilize at m_max=%d for alpha=%g", m_max, alpha)
     return run(m_max), m_max, False
 

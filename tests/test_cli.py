@@ -220,6 +220,24 @@ def test_sweep_report_and_determinism(tmp_path, capsys):
     assert prop["q"] == 2.0
 
 
+def test_unreadable_in_exits_2(tmp_path, capsys):
+    missing = str(tmp_path / "missing.csv")
+    assert cli.main(["report", "--in", missing, "--check", "as2"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: cannot use --in {missing}: No such file or directory\n"
+
+
+def test_unwritable_out_exits_2_before_computing(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, DISK_CONFIG)
+    monkeypatch.setattr(cli, "sweep", lambda *args, **kwargs: pytest.fail("sweep ran"))
+    out = str(tmp_path / "nonexistent" / "s.csv")
+    assert cli.main(["sweep", "--config", cfg, "--out", out]) == 2
+    assert capsys.readouterr().err == f"config error: cannot use --out {out}: No such directory\n"
+    # a path the directory check lets through still fails at the write
+    assert cli.main(["norms", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot use --out {tmp_path}: ")
+
+
 def test_sweep_needs_range(tmp_path, capsys):
     cfg = write_config(tmp_path, GAUSSIAN_CONFIG)
     assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "s.csv")]) == 2
@@ -236,6 +254,13 @@ def test_decompose_outputs(tmp_path, capsys):
     assert payload["recompose_max_err"] < 1e-12
     assert payload["nrad_angular_mean_max"] < 1e-12
     assert (tmp_path / "dec.json.manifest.json").exists()
+
+
+@pytest.mark.parametrize("radii", ["1,abc", "-1,0,2", "0.5,nan"])
+def test_decompose_rejects_bad_radii(tmp_path, capsys, radii):
+    cfg = write_config(tmp_path, GAUSSIAN_CONFIG)
+    assert cli.main(["decompose", "--config", cfg, f"--radii={radii}"]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: bad --radii value {radii!r}")
 
 
 def test_verify_suite_exit_codes(monkeypatch, capsys):

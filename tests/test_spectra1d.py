@@ -13,7 +13,7 @@ from helpers import (dense_negative_count, reference_sturm_count, reference_stur
                      shooting_negative_count)
 
 
-# ---------------------------------------------------------------- grids and assembly
+# ---------------------------------------------------------------- grids
 
 
 def test_grid_properties():
@@ -28,35 +28,6 @@ def test_grid_properties():
         bc.Grid1D(1.0, 0.0, 10)
 
 
-def test_discretize_free_laplacian():
-    grid = bc.Grid1D(0.0, 4.0, 5)  # h=1, interior nodes 1,2,3
-    m = bc.discretize_1d(lambda t: np.zeros_like(t), grid)
-    assert np.all(m.diag == 2.0)
-    assert np.all(m.offdiag == -1.0)
-    assert bc.negative_count(m) == 0
-
-
-def test_discretize_interior_constraint_splits_symmetrically():
-    grid = bc.Grid1D.symmetric(2.0, 9)
-    m = bc.discretize_1d(lambda t: np.zeros_like(t), grid, interior_dirichlet=True)
-    blocks = m.blocks()
-    assert len(blocks) == 2
-    assert blocks[0][0].size == blocks[1][0].size == 3
-
-
-def test_discretize_indexed_potential():
-    grid = bc.Grid1D(0.0, 4.0, 5)
-    w = np.array([1.0, 2.0, 3.0])
-    m = bc.discretize_1d(w, grid)
-    assert m.diag == pytest.approx(2.0 + w)
-
-
-def test_discretize_rejects_nonfinite():
-    grid = bc.Grid1D(0.0, 4.0, 5)
-    with pytest.raises(NonFiniteError):
-        bc.discretize_1d(lambda t: np.where(t > 1.5, np.nan, 0.0), grid)
-
-
 # ---------------------------------------------------------------- Sturm counts
 
 
@@ -64,6 +35,13 @@ def test_negative_count_simple_cases():
     assert bc.tridiagonal_negative_count([-1.0], []) == 1
     assert bc.tridiagonal_negative_count([1.0, 2.0], [0.5]) == 0
     assert bc.tridiagonal_negative_count([], []) == 0
+
+
+def test_negative_count_rejects_nonfinite_entries():
+    with pytest.raises(NonFiniteError):
+        bc.tridiagonal_negative_count([1.0, np.nan], [0.5])
+    with pytest.raises(NonFiniteError):
+        bc.tridiagonal_negative_count([1.0, 2.0], [np.inf])
 
 
 def test_negative_count_random_vs_dense():
@@ -129,11 +107,6 @@ def test_kernel_single_rows_match_reference():
         diag = rng.normal(0.0, 2.0, n)
         off = rng.normal(0.0, 1.5, n - 1)
         assert bc.tridiagonal_negative_count(diag, off) == reference_sturm_count(diag, off * off)
-        if n >= 3:
-            k = int(rng.integers(0, n))
-            m = bc.SchrodingerMatrix1D(grid=bc.Grid1D(0.0, 1.0, n + 2), diag=diag,
-                                       offdiag=off, constraint_index=k)
-            assert bc.negative_count(m) == reference_sturm_count(diag, off * off, cut=k)
 
 
 def test_block_counts_split_only_the_cut_row():
