@@ -12,11 +12,11 @@ __version__ = "0.1.0"
 from .errors import (ConfigError, DomainError, MatrixSizeError, NonFiniteError,
                      NumericalError, QuadratureError, VerificationFailure)
 from .potentials import (Decomposition, EffectivePotential, FourierSumPotential,
-                         PolarPoint, PotentialSpec, ProductPotential, RadialPotential,
-                         RadialProfile, TabulatedPotential, annulus_tabulated, decompose,
-                         disk_profile, disk_well, effective_potential, evaluate,
-                         fourier_sum, gaussian_profile, gaussian_well, inverse_square_ring,
-                         log_borderline, log_borderline_profile, radial_part, ring_profile,
+                         PotentialSpec, ProductPotential, RadialPotential, RadialProfile,
+                         TabulatedPotential, annulus_tabulated, decompose, disk_profile,
+                         disk_well, effective_potential, fourier_sum, gaussian_profile,
+                         gaussian_well, inverse_square_ring, log_borderline,
+                         log_borderline_profile, radial_part, ring_profile,
                          validate_nonnegative)
 from .seminorms import (WeakNormReport, ZhatSequence, bound_functional, delta_functionals,
                         l1lp_norm, n_plus, weak_norm_report, weak_quasinorm,
@@ -26,7 +26,7 @@ from .spectra1d import (CountResult, Grid1D, GridPolicy, birman_schwinger_1d,
                         tridiagonal_negative_count)
 from .spectra2d import (BlockSystem2D, ChannelSet, assemble_full_2d, birman_schwinger_2d,
                         count_2d_auto, count_full_2d, count_radial_2d, count_tilde,
-                        coupled_cutoff_m_max, fourier_modes, hardy_ratio, potential_form,
+                        coupled_cutoff_m_max, hardy_ratio, potential_form,
                         qform_check, radial_cutoff_m_max)
 from .asymptotics import (As2Report, EstimReport, LimitEstimate, PropAddReport, SweepResult,
                           check_as2, check_estim, check_prop_add, estimate_limits,

@@ -71,9 +71,10 @@ def sweep(spec: PotentialSpec, alpha_min: float, alpha_max: float, points: int,
     counts every alpha it still has to certify in one batched Sturm pass
     (``radial_counts``), so ``threads`` has no effect on radial specs.
     Non-radial ones go through the block systems with channel-cutoff
-    escalation; each level maps the alphas it still has to certify over one
-    pool of ``threads`` worker threads kept for the whole sweep.  A
-    non-converged alpha is flagged, not fatal.
+    escalation, each block pass giving both N_-(H) and N_-(H~); each level
+    maps the alphas it still has to certify over one pool of ``threads``
+    worker threads kept for the whole sweep.  A non-converged alpha is
+    flagged, not fatal.
     """
     if not (0 < alpha_min < alpha_max):
         raise ValueError("need 0 < alpha_min < alpha_max")
@@ -90,10 +91,8 @@ def sweep(spec: PotentialSpec, alpha_min: float, alpha_max: float, points: int,
 
     def coupled(grid: Grid1D, i: int) -> tuple[int, int, int]:
         alpha = alphas[i]
-        n2d, _, ok_a = count_2d_auto(spec, alpha, grid, tilde=False, n_theta=n_theta,
-                                     max_dimension=max_dimension)
-        n_tilde, _, ok_b = count_2d_auto(spec, alpha, grid, tilde=True, n_theta=n_theta,
-                                         max_dimension=max_dimension)
+        (n2d, _, ok_a), (n_tilde, _, ok_b) = count_2d_auto(
+            spec, alpha, grid, n_theta=n_theta, max_dimension=max_dimension)
         cutoff_ok[i] &= ok_a and ok_b
         return n2d, n_tilde, count_M(G, alpha, grid)
 

@@ -164,14 +164,14 @@ def cmd_count2d(args) -> int:
     def values(grid: Grid1D):
         if args.channels is None:
             count, m_used, ch_ok = count_2d_auto(
-                config.spec, args.alpha, grid, tilde=args.tilde,
-                n_theta=config.angular_nodes, max_dimension=config.max_dimension)
+                config.spec, args.alpha, grid, n_theta=config.angular_nodes,
+                max_dimension=config.max_dimension)[args.tilde]
         else:
             # pinned m_max: no cutoff escalation
             m_used, ch_ok = args.channels, True
             count = count_full_2d(assemble_full_2d(
                 config.spec, args.alpha, grid, ChannelSet(m_used), config.angular_nodes,
-                constrained=args.tilde, max_dimension=config.max_dimension))
+                max_dimension=config.max_dimension))[args.tilde]
         levels.append((m_used, ch_ok, system_dimension(m_used, grid, args.tilde)))
         return count
 

@@ -106,6 +106,7 @@ _CONFIG_SCHEMA = {
                 "n": {"type": "integer", "minimum": 3},
                 "max_doublings": {"type": "integer", "minimum": 0},
                 "agreements": {"type": "integer", "minimum": 1},
+                # accepted from older configs; false means max_doublings 0
                 "certify": {"type": "boolean"},
             },
             "additionalProperties": False,
@@ -168,7 +169,10 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError(f"config invalid at {path}: {exc.message}") from exc
     fields = {key: value for key, value in doc.items() if key != "potential"}
     if "grid_policy" in fields:
-        fields["grid_policy"] = GridPolicy(**fields["grid_policy"])
+        policy = dict(fields["grid_policy"])
+        if policy.pop("certify", True) is False:
+            policy["max_doublings"] = 0
+        fields["grid_policy"] = GridPolicy(**policy)
     if "sweep" in doc and not doc["sweep"]["alpha_min"] < doc["sweep"]["alpha_max"]:
         raise ConfigError("sweep needs alpha_min < alpha_max")
     return RunConfig(spec=potential_from_config(doc["potential"]), raw=doc, **fields)

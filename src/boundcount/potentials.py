@@ -36,19 +36,6 @@ CHECK_R_RANGE = (math.exp(-6), math.exp(6))
 
 
 @dataclass(frozen=True)
-class PolarPoint:
-    """A point (r, theta) with r > 0 and theta reduced mod 2pi."""
-
-    r: float
-    theta: float
-
-    def __post_init__(self):
-        if not self.r > 0:
-            raise ValueError(f"polar radius must be positive, got {self.r}")
-        object.__setattr__(self, "theta", float(self.theta) % (2.0 * np.pi))
-
-
-@dataclass(frozen=True)
 class RadialProfile:
     """Vectorized radial evaluator with optional decay information.
 
@@ -428,14 +415,6 @@ class TabulatedPotential(PotentialSpec):
 # operations
 
 
-def evaluate(spec: PotentialSpec, point: PolarPoint) -> float:
-    """Evaluate V at a single polar point."""
-    val = float(spec.eval_polar(point.r, point.theta))
-    if not np.isfinite(val):
-        raise NonFiniteError(f"V non-finite at {point}", where=point)
-    return val
-
-
 def radial_part(spec: PotentialSpec, r, n_theta: int = 256) -> np.ndarray:
     """Angular mean (2pi)^-1 int V(r, theta) dtheta via the periodic rule.
 
@@ -522,10 +501,6 @@ class EffectivePotential:
             bad = t[~np.isfinite(np.asarray(vals))].flat[0]
             raise NonFiniteError(f"effective potential non-finite at t={bad}", where=bad)
         return vals
-
-    def grid_max(self, t) -> float:
-        vals = self(np.asarray(t, dtype=float))
-        return float(np.max(vals)) if vals.size else 0.0
 
     @classmethod
     def from_callable(cls, func, convention: str = SUBSTITUTION, label: str = "G"):
@@ -624,8 +599,14 @@ def fourier_sum(modes: Sequence[tuple[int, RadialProfile, str]]) -> PotentialSpe
 
 
 def annulus_tabulated(path) -> PotentialSpec:
-    """Load r,theta,value CSV rows sampled on a product grid."""
-    rows = np.loadtxt(path, delimiter=",", comments="#")
+    """Load r,theta,value CSV rows sampled on a product grid; a relative
+    ``path`` resolves against the working directory."""
+    try:
+        rows = np.loadtxt(path, delimiter=",", comments="#")
+    except OSError as exc:
+        raise ConfigError(f"cannot read table {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{path}: expected CSV rows r,theta,value ({exc})") from exc
     if rows.ndim != 2 or rows.shape[1] != 3:
         raise ConfigError(f"{path}: expected CSV rows r,theta,value")
     r_vals = np.unique(rows[:, 0])

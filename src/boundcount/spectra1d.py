@@ -84,7 +84,6 @@ class GridPolicy:
     n: int = 6001
     max_doublings: int = 3
     agreements: int = 2
-    certify: bool = True
 
     def base_grid(self) -> Grid1D:
         return Grid1D.symmetric(self.t_half, self.n)
@@ -117,8 +116,7 @@ def certified_counts(counts_on_grid: Callable[[Grid1D, list], Sequence], size: i
     ``counts_on_grid(grid, pending)`` returns the values of the items in
     ``pending`` on that grid, one comparable value (a count or a tuple of
     counts) per item.  An item is certified once its value repeats
-    ``policy.agreements`` times in a row, and leaves the batch then; with
-    ``policy.certify`` off every item stops at level 0, unconverged.
+    ``policy.agreements`` times in a row, and leaves the batch then.
     """
     trails: list[list] = [[] for _ in range(size)]
     results: list = [None] * size
@@ -134,8 +132,8 @@ def certified_counts(counts_on_grid: Callable[[Grid1D, list], Sequence], size: i
             recent = [value for _, _, value in trails[i][-(policy.agreements + 1):]]
             stable = (len(recent) == policy.agreements + 1
                       and all(r == recent[0] for r in recent))
-            if stable or not policy.certify:
-                results[i] = CountResult(recent[-1], stable and policy.certify, tuple(trails[i]))
+            if stable:
+                results[i] = CountResult(recent[-1], True, tuple(trails[i]))
             else:
                 still.append(i)
         pending = still

@@ -8,10 +8,11 @@ Complex modes are paired into cos/sin channels so every matrix is real
 symmetric, and negative eigenvalues are counted exactly by a block
 Schur-complement recursion (the block analogue of the Sturm sweep).
 
-The constrained variant deletes the t = 0 node of the constant channel,
+The constrained operator H~ deletes the t = 0 node of the constant channel,
 which is the discrete form of the mean-zero condition int u(1, theta)
 dtheta = 0; removing that single row restores the full operator, hence
-the rank-one sandwich count_tilde <= count_full <= count_tilde + 1.
+the rank-one sandwich count_tilde <= count_full <= count_tilde + 1.  One
+block pass, which factors the t = 0 slice last, gives both counts.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -39,15 +40,6 @@ DEFAULT_MAX_DIMENSION = 12000
 CUTOFF_GUARD = 4
 ESCALATION_STEP = 2
 MAX_ESCALATIONS = 4
-
-
-def fourier_modes(spec: PotentialSpec, r, k_max: int, n_theta: int = 256) -> np.ndarray:
-    """Complex angular modes Vhat_k(r), k = 0..k_max (Vhat_{-k} = conj).
-
-    Mode 0 is the angular mean; higher modes are computed from the
-    mean-subtracted samples, so they carry only the non-radial part.
-    """
-    return spec.angular_coefficients(r, k_max, n_theta)
 
 
 @dataclass(frozen=True)
@@ -89,7 +81,7 @@ def coupled_cutoff_m_max(spec: PotentialSpec, alpha: float, grid: Grid1D,
     hint = spec.angular_mode_hint()
     k_probe = hint if hint is not None else max(8, n_theta // 8)
     t = grid.interior
-    vhat = fourier_modes(spec, np.exp(t), k_probe, n_theta)
+    vhat = spec.angular_coefficients(np.exp(t), k_probe, n_theta)
     with np.errstate(over="ignore"):
         weight = np.exp(2.0 * t)
     row = np.abs(vhat[:, 0].real) + 2.0 * np.sum(np.abs(vhat[:, 1:]), axis=-1)
@@ -141,8 +133,9 @@ class BlockSystem2D:
 
     ``chan_diag[b, i]`` holds 2/h^2 + m_b^2 - alpha G(t_i); the non-radial
     angular residual (everything beyond mode 0) enters through the p/q mode
-    arrays and is scaled by -alpha e^{2t_i} slice by slice.  ``constraint``
-    marks the t = 0 slice where the constant channel is deleted.
+    arrays and is scaled by -alpha e^{2t_i} slice by slice.  The system is
+    that of H; H~ is the same system less the constant channel's row at
+    the t = 0 slice.
     """
 
     grid: Grid1D
@@ -152,7 +145,6 @@ class BlockSystem2D:
     pmodes: np.ndarray             # [n_int, 2 m_max + 1] Re Vhat_k, column 0 zero
     qmodes: np.ndarray             # [n_int, 2 m_max + 1] (1/2pi) int V sin k theta
     is_block_diagonal: bool
-    constraint: int | None = None  # interior index of the t = 0 slice
 
     @property
     def channels(self) -> list[tuple[str, int]]:
@@ -160,7 +152,7 @@ class BlockSystem2D:
 
     @property
     def dimension(self) -> int:
-        return system_dimension(self.channel_set.m_max, self.grid, self.constraint is not None)
+        return system_dimension(self.channel_set.m_max, self.grid, False)
 
     @cached_property
     def _pairs(self) -> Callable[[np.ndarray], np.ndarray]:
@@ -175,16 +167,14 @@ class BlockSystem2D:
         modes k >= 1 only, so it vanishes identically for radial potentials."""
         return self._pairs(np.concatenate((self.pmodes[i], self.qmodes[i])))
 
-    def slice_matrix(self, i: int, shift: float = 0.0) -> tuple[int, np.ndarray]:
-        """(first active channel, dense diagonal block) for slice i: every
-        channel is active except the constant one on the constrained slice."""
-        first = int(i == self.constraint)
-        D = np.diag(self.chan_diag[first:, i] - shift)
+    def slice_matrix(self, i: int, shift: float = 0.0) -> np.ndarray:
+        """Dense diagonal block of slice i."""
+        D = np.diag(self.chan_diag[:, i] - shift)
         if not self.is_block_diagonal:
             if np.any(self.pmodes[i, 1:] != 0.0) or np.any(self.qmodes[i, 1:] != 0.0):
                 R = self.angular_residual(i)
-                D = D - self.alpha * (math.exp(2.0 * self._t_interior[i]) * R[first:, first:])
-        return first, D
+                D = D - self.alpha * (math.exp(2.0 * self._t_interior[i]) * R)
+        return D
 
     def to_dense(self, max_dimension: int = DEFAULT_MAX_DIMENSION) -> np.ndarray:
         """Materialize the full symmetric matrix (slice-major ordering)."""
@@ -193,31 +183,21 @@ class BlockSystem2D:
                 f"dense dimension {self.dimension} exceeds ceiling {max_dimension}; "
                 "use fewer channels or a coarser grid")
         B = self.channel_set.size
-        esq_off = -1.0 / self.grid.h ** 2
         A = np.zeros((self.dimension, self.dimension))
-        pos = prev_pos = prev_first = 0
         for i in range(self.chan_diag.shape[1]):
-            first, D = self.slice_matrix(i)
-            A[pos:pos + B - first, pos:pos + B - first] = D
-            if i > 0:
-                # channels active on both slices couple through -1/h^2
-                chans = np.arange(max(first, prev_first), B)
-                rows, cols = prev_pos + chans - prev_first, pos + chans - first
-                A[rows, cols] = esq_off
-                A[cols, rows] = esq_off
-            prev_pos, prev_first = pos, first
-            pos += B - first
+            A[i * B:(i + 1) * B, i * B:(i + 1) * B] = self.slice_matrix(i)
+        # each channel couples to itself on the neighbouring slices through -1/h^2
+        k = np.arange(B, self.dimension)
+        A[k - B, k] = A[k, k - B] = -1.0 / self.grid.h ** 2
         return A
 
 
 def assemble_full_2d(spec: PotentialSpec, alpha: float, grid: Grid1D,
                      channels: ChannelSet | int | None = None,
-                     n_theta: int = 256, constrained: bool = False,
-                     max_dimension: int = DEFAULT_MAX_DIMENSION,
+                     n_theta: int = 256, max_dimension: int = DEFAULT_MAX_DIMENSION,
                      dec: Decomposition | None = None,
                      G: EffectivePotential | None = None) -> BlockSystem2D:
-    """Assemble the discretized quadratic form of H_{alpha V} (or of the
-    constrained operator when ``constrained``)."""
+    """Assemble the discretized quadratic form of H_{alpha V}."""
     if alpha < 0:
         raise ValueError("coupling must be non-negative")
     if dec is None:
@@ -252,60 +232,75 @@ def assemble_full_2d(spec: PotentialSpec, alpha: float, grid: Grid1D,
     else:
         with np.errstate(over="ignore"):
             radii = np.exp(grid.interior)
-        vhat = fourier_modes(spec, radii, 2 * channel_set.m_max, n_theta)
+        vhat = spec.angular_coefficients(radii, 2 * channel_set.m_max, n_theta)
         pmodes = vhat.real.copy()
         qmodes = (-vhat.imag).copy()
         pmodes[:, 0] = 0.0  # mode 0 lives in chan_diag via G
         block_diag = bool(np.all(pmodes == 0.0) and np.all(qmodes == 0.0))
-    constraint = None
-    if constrained:
-        constraint = grid.zero_index
-        if constraint is None:
-            raise ValueError("constrained assembly needs a grid node at t=0")
     return BlockSystem2D(grid=grid, channel_set=channel_set, alpha=alpha,
                          chan_diag=chan_diag, pmodes=pmodes, qmodes=qmodes,
-                         is_block_diagonal=block_diag, constraint=constraint)
+                         is_block_diagonal=block_diag)
 
 
 class _SingularPivot(Exception):
     pass
 
 
-def _count_block_diagonal(sys: BlockSystem2D) -> int:
-    """Count of an assembled block-diagonal system (pinned channel sets,
-    ``count_tilde`` and the verification suites; ``count_2d_auto`` counts
-    radial potentials through ``radial_sample_counts`` instead):
-    scalar pivot sweeps of every channel in one kernel call, the constant
-    channel split at the deleted t = 0 node."""
+def _negatives(w: np.ndarray, where: int) -> int:
+    """Negative count of a pivot block with eigenvalues ``w``; a nearly
+    singular block raises _SingularPivot (an empty one counts 0)."""
+    wmax = float(np.max(np.abs(w), initial=0.0))
+    if w.size and (wmax == 0.0 or float(np.min(np.abs(w))) <= 1e-14 * wmax):
+        raise _SingularPivot(f"near-singular pivot block at slice {where}")
+    return int(np.count_nonzero(w < 0))
+
+
+def _count_block_diagonal(sys: BlockSystem2D) -> tuple[int, int | None]:
+    """Both counts of a block-diagonal system (pinned channel sets,
+    ``count_tilde`` and the verification suites) in one kernel call: a pivot
+    sweep per channel, and one of the constant channel cut at t = 0."""
     off = -1.0 / sys.grid.h ** 2
-    return int(np.sum(block_negative_counts(sys.chan_diag, off * off, cut=sys.constraint)))
+    zero = sys.grid.zero_index
+    counts = block_negative_counts(np.vstack((sys.chan_diag[:1], sys.chan_diag)), off * off,
+                                   cut=zero)
+    full = int(np.sum(counts[1:]))
+    return full, None if zero is None else full - int(counts[1]) + int(counts[0])
 
 
-def _count_block_tridiagonal(sys: BlockSystem2D, shift: float = 0.0) -> int:
-    """Block Schur-complement sweep: inertia of the block-tridiagonal matrix
-    is the sum of the inertias of the successive pivot blocks."""
+def _count_block_tridiagonal(sys: BlockSystem2D, shift: float = 0.0) -> tuple[int, int | None]:
+    """Block Schur-complement sweep: the inertia of the block-tridiagonal
+    matrix is the sum of the inertias of its pivot blocks, in any
+    elimination order.  Slices are eliminated from both ends toward the
+    t = 0 slice, which is factored last: whole for N_-(H), and without its
+    constant channel for N_-(H~), since no other pivot block reads that row.
+    Without a t = 0 node the sweep ends at the last slice."""
     esq = (1.0 / sys.grid.h ** 2) ** 2
+    n_int = sys.chan_diag.shape[1]
+    zero = sys.grid.zero_index
+    last = n_int - 1 if zero is None else zero
     total = 0
-    prev_inv = None
-    prev_first = 0
-    for i in range(sys.chan_diag.shape[1]):
-        first, D = sys.slice_matrix(i, shift)
+    D_last = sys.slice_matrix(last, shift)
+    for order in (range(last), range(n_int - 1, last, -1)):
+        prev_inv = None
+        for i in order:
+            D = sys.slice_matrix(i, shift)
+            if prev_inv is not None:
+                D -= esq * prev_inv
+            w, U = np.linalg.eigh(D)
+            total += _negatives(w, i)
+            prev_inv = (U / w) @ U.T
         if prev_inv is not None:
-            # channels from k on are active on both slices
-            k = max(first, prev_first)
-            D[k - first:, k - first:] -= esq * prev_inv[k - prev_first:, k - prev_first:]
-        w, U = np.linalg.eigh(D)
-        wmax = float(np.max(np.abs(w)))
-        if wmax == 0.0 or float(np.min(np.abs(w))) <= 1e-14 * wmax:
-            raise _SingularPivot(f"near-singular pivot block at slice {i}")
-        total += int(np.count_nonzero(w < 0))
-        prev_inv = (U / w) @ U.T
-        prev_first = first
-    return total
+            D_last -= esq * prev_inv
+    full = total + _negatives(np.linalg.eigvalsh(D_last), last)
+    return full, None if zero is None else total + _negatives(
+        np.linalg.eigvalsh(D_last[1:, 1:]), last)
 
 
-def count_full_2d(sys: BlockSystem2D) -> int:
-    """Exact negative-eigenvalue count of the assembled system."""
+def count_full_2d(sys: BlockSystem2D) -> tuple[int, int | None]:
+    """Exact negative-eigenvalue counts (N_-(H), N_-(H~)) of the assembled
+    system from one pass; N_-(H~) is None on a grid without a t = 0 node.
+    A nearly singular pivot block re-runs the whole pass, for both counts,
+    at the shift ZERO_PIVOT_SHIFT."""
     if sys.is_block_diagonal:
         return _count_block_diagonal(sys)
     try:
@@ -323,7 +318,9 @@ def count_radial_2d(v_rad: RadialProfile | EffectivePotential | Callable,
     """N_- of the 2D operator for a radial potential: the sum of channel
     counts over |m| <= m_max, with the cutoff chosen so omitted channels are
     positive definite by construction."""
-    G = _as_effective(v_rad)
+    G = v_rad
+    if isinstance(v_rad, RadialProfile):
+        G = effective_potential(decompose(RadialPotential(profile=v_rad)))
     gvals = np.asarray(G(grid.interior), dtype=float)
     if m_max is None:
         m_max = radial_m_max(gvals, alpha)
@@ -332,20 +329,15 @@ def count_radial_2d(v_rad: RadialProfile | EffectivePotential | Callable,
     return int(counts[0] + 2 * np.sum(counts[1:]))
 
 
-def _as_effective(v) -> EffectivePotential | Callable:
-    if isinstance(v, RadialProfile):
-        return effective_potential(decompose(RadialPotential(profile=v)))
-    return v
-
-
 def count_tilde(spec: PotentialSpec, alpha: float, grid: Grid1D,
                 channels: ChannelSet | int | None = None, n_theta: int = 256,
                 max_dimension: int = DEFAULT_MAX_DIMENSION) -> int:
     """N_- of the constrained operator (mean of u over the unit circle
     vanishes): the constant channel loses its t = 0 node."""
-    sys = assemble_full_2d(spec, alpha, grid, channels, n_theta,
-                           constrained=True, max_dimension=max_dimension)
-    return count_full_2d(sys)
+    if not grid.has_node_at_zero:
+        raise ValueError("the constrained count needs a grid node at t=0")
+    sys = assemble_full_2d(spec, alpha, grid, channels, n_theta, max_dimension=max_dimension)
+    return count_full_2d(sys)[1]
 
 
 def birman_schwinger_2d(spec: PotentialSpec, eps: float, grid: Grid1D,
@@ -361,39 +353,45 @@ def birman_schwinger_2d(spec: PotentialSpec, eps: float, grid: Grid1D,
     return count_tilde(spec, 1.0 / eps, grid, channels, n_theta, max_dimension)
 
 
-def count_2d_auto(spec: PotentialSpec, alpha: float, grid: Grid1D,
-                  tilde: bool = False, n_theta: int = 256,
-                  max_dimension: int = DEFAULT_MAX_DIMENSION) -> tuple[int, int, bool]:
-    """(count, m_max used, channel cutoff certified).
+def count_2d_auto(spec: PotentialSpec, alpha: float, grid: Grid1D, n_theta: int = 256,
+                  max_dimension: int = DEFAULT_MAX_DIMENSION
+                  ) -> tuple[tuple[int, int, bool], tuple[int, int, bool]]:
+    """(count, m_max used, channel cutoff certified) for N_-(H) and N_-(H~).
 
     Radial specs use the provable cutoff and count through the batched rows
     of ``radial_counts``, the rows a radial sweep counts.  Non-radial specs
     count again with ESCALATION_STEP extra modes until the count stops
-    changing; failure to stabilize is flagged, never silently accepted.
+    changing, each count by its own rule over one cache of passes that each
+    give both counts; failure to stabilize is flagged, never silently
+    accepted.
     """
+    if not grid.has_node_at_zero:
+        raise ValueError("count_2d_auto needs a grid node at t=0")
     dec = decompose(spec, n_theta)
     G = effective_potential(dec)
     if spec.is_radial:
         gvals = G(grid.interior)
-        counts = radial_sample_counts(gvals, [alpha], grid)
-        return int(counts[0, int(tilde)]), radial_m_max(gvals, alpha), True
-    m_max = coupled_cutoff_m_max(spec, alpha, grid, n_theta)
-    counts = {}
+        full, tilde, _ = radial_sample_counts(gvals, [alpha], grid)[0]
+        m_max = radial_m_max(gvals, alpha)
+        return (int(full), m_max, True), (int(tilde), m_max, True)
+    start = coupled_cutoff_m_max(spec, alpha, grid, n_theta)
 
-    def run(mm):
-        if mm not in counts:
-            sys = assemble_full_2d(spec, alpha, grid, ChannelSet(mm), n_theta,
-                                   constrained=tilde, max_dimension=max_dimension,
-                                   dec=dec, G=G)
-            counts[mm] = count_full_2d(sys)
-        return counts[mm]
+    @cache
+    def run(mm: int) -> tuple[int, int]:
+        return count_full_2d(assemble_full_2d(spec, alpha, grid, ChannelSet(mm), n_theta,
+                                              max_dimension=max_dimension, dec=dec, G=G))
 
-    for _ in range(MAX_ESCALATIONS):
-        if run(m_max) == run(m_max + ESCALATION_STEP):
-            return counts[m_max], m_max, True
-        m_max += ESCALATION_STEP
-    log.info("channel cutoff did not stabilize at m_max=%d for alpha=%g", m_max, alpha)
-    return run(m_max), m_max, False
+    def escalate(which: int) -> tuple[int, int, bool]:
+        m_max = start
+        for _ in range(MAX_ESCALATIONS):
+            if run(m_max)[which] == run(m_max + ESCALATION_STEP)[which]:
+                return run(m_max)[which], m_max, True
+            m_max += ESCALATION_STEP
+        log.info("channel cutoff did not stabilize at m_max=%d for alpha=%g (%s)",
+                 m_max, alpha, ("N(H)", "N(H~)")[which])
+        return run(m_max)[which], m_max, False
+
+    return escalate(0), escalate(1)
 
 
 # ----------------------------------------------------------------------
@@ -454,7 +452,7 @@ def potential_form(spec: PotentialSpec, channel_profiles: Sequence[tuple[str, in
     t = grid.interior
     with np.errstate(over="ignore"):
         radii = np.exp(t)
-    vhat = fourier_modes(spec, radii, 2 * m_max, n_theta)
+    vhat = spec.angular_coefficients(radii, 2 * m_max, n_theta)
     p0 = vhat[:, 0].real
     modes = np.hstack((vhat.real, -vhat.imag))
     modes[:, 0] = 0.0  # the residual's rows: mode 0 enters through p0 below

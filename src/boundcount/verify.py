@@ -142,9 +142,7 @@ def suite_sandwich(seed: int = 1234, cases: int = 12) -> SuiteReport:
     for i in range(cases):
         spec = random_fourier_spec(rng)
         alpha = float(np.exp(rng.uniform(np.log(1.0), np.log(40.0))))
-        full_sys = assemble_full_2d(spec, alpha, grid)
-        full = count_full_2d(full_sys)
-        tilde = count_tilde(spec, alpha, grid, channels=full_sys.channel_set)
+        full, tilde = count_full_2d(assemble_full_2d(spec, alpha, grid))
         ok = tilde <= full <= tilde + 1
         report.record(ok, f"case {i:02d}: tilde={tilde}, full={full} (alpha={alpha:.3f})")
     return report
@@ -161,7 +159,7 @@ def suite_radial_consistency(seed: int = 1234, cases: int = 10) -> SuiteReport:
         spec = RadialPotential(profile=gaussian_profile(amp, width))
         alpha = float(np.exp(rng.uniform(np.log(2.0), np.log(80.0))))
         sys = assemble_full_2d(spec, alpha, grid)
-        full = count_full_2d(sys)
+        full = count_full_2d(sys)[0]
         channel_sum = count_radial_2d(spec.profile, alpha, grid,
                                       m_max=sys.channel_set.m_max)
         report.record(full == channel_sum,

@@ -103,9 +103,6 @@ def reference_radial_sweep(G, alphas, policy):
         result = None
         for level in range(policy.max_doublings + 1):
             history.append(reference_radial_values(G, float(alpha), policy.level_grid(level)))
-            if not policy.certify:
-                result = (history[-1], False, len(history))
-                break
             recent = history[-(policy.agreements + 1):]
             if len(recent) == policy.agreements + 1 and all(r == recent[0] for r in recent):
                 result = (history[-1], True, len(history))

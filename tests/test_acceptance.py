@@ -63,7 +63,7 @@ def borderline_sweep():
     # truncation certifies, so the run is deliberately uncertified (flagged)
     spec = bc.log_borderline(1.0)
     return bc.sweep(spec, 20.0, 200.0, 16,
-                    policy=bc.GridPolicy(t_half=240.0, n=48001, certify=False, max_doublings=0),
+                    policy=bc.GridPolicy(t_half=240.0, n=48001, max_doublings=0),
                     label="borderline")
 
 
@@ -140,7 +140,7 @@ def test_criterion_4_radial_channel_consistency():
         spec = bc.RadialPotential(profile=prof)
         alpha = float(np.exp(rng.uniform(np.log(2.0), np.log(80.0))))
         sys_ = bc.assemble_full_2d(spec, alpha, grid, max_dimension=10 ** 6)
-        full = bc.count_full_2d(sys_)
+        full = bc.count_full_2d(sys_)[0]
         chans = bc.count_radial_2d(prof, alpha, grid, m_max=sys_.channel_set.m_max)
         if full != chans:
             bad.append((i, full, chans))

@@ -88,7 +88,7 @@ def test_radial_sweep_matches_per_alpha_reference(spec):
 
 def test_radial_sweep_without_certification_reports_level_zero():
     spec = bc.gaussian_well(1.0, 1.0)
-    policy = bc.GridPolicy(t_half=2.0, n=41, max_doublings=3, certify=False)
+    policy = bc.GridPolicy(t_half=2.0, n=41, max_doublings=0)
     res = bc.sweep(spec, 5.0, 60.0, 6, policy=policy, J=10)
     G = bc.effective_potential(bc.decompose(spec))
     want = reference_radial_sweep(G, res.alphas, policy)
@@ -134,7 +134,7 @@ def test_coupled_sweep_matches_per_alpha_certified_counts(coupled_sweep):
 
         def auto(tilde, alpha=alpha):
             def count(grid):
-                n, _, ok = bc.count_2d_auto(COUPLED_SPEC, alpha, grid, tilde=tilde)
+                n, _, ok = bc.count_2d_auto(COUPLED_SPEC, alpha, grid)[tilde]
                 cutoff_ok.append(ok)
                 return n
             return count

@@ -132,7 +132,7 @@ def test_count2d_tilde_dim_is_the_assembled_dimension(tmp_path, capsys):
 
 def test_count2d_reports_every_certification_level(tmp_path, capsys, monkeypatch):
     # level 0 needs more channels and misses its cutoff check; the last does neither
-    per_level = iter([(5, 9, False), (5, 7, True)])
+    per_level = iter([((5, 9, False), (4, 9, False)), ((5, 7, True), (4, 7, True))])
     monkeypatch.setattr(cli, "count_2d_auto", lambda *args, **kwargs: next(per_level))
     doc = dict(DISK_CONFIG, grid_policy={"t_half": 4.0, "n": 41, "max_doublings": 1,
                                          "agreements": 1})
@@ -150,8 +150,9 @@ def test_radial_count2d_matches_radial_counts_on_every_level(tmp_path, capsys, m
     auto = cli.count_2d_auto
 
     def spy(spec, alpha, grid, **kwargs):
-        levels.append((grid, auto(spec, alpha, grid, **kwargs)))
-        return levels[-1][1]
+        pair = auto(spec, alpha, grid, **kwargs)
+        levels.append((grid, pair[int(tilde)]))
+        return pair
 
     monkeypatch.setattr(cli, "count_2d_auto", spy)
     doc = dict(DISK_CONFIG, grid_policy={"t_half": 2.0, "n": 41, "max_doublings": 3,
@@ -183,6 +184,18 @@ def test_norms_on_a_tabulated_annulus(tmp_path, capsys):
     assert payload["weyl_coeff"] == pytest.approx(0.46875, rel=1e-6)
     assert payload["l1lp"] == 0.0
     assert payload["zeta"][0] > 0 and not any(payload["zeta"][2:])
+
+
+@pytest.mark.parametrize("table", [None, "0.5,0.0,x\n", "0.5,0.0\n0.5\n"],
+                         ids=["missing", "unparsable", "ragged"])
+def test_unreadable_table_is_a_config_error(tmp_path, capsys, table):
+    path = tmp_path / "table.csv"
+    if table is not None:
+        path.write_text(table)
+    doc = {"potential": {"family": "annulus_tabulated", "params": {"path": str(path)}}}
+    assert cli.main(["norms", "--config", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
 
 
 def test_count2d_dimension_ceiling_is_error_code_1(tmp_path, capsys):

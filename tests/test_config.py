@@ -92,7 +92,7 @@ def test_absent_keys_take_the_dataclass_defaults():
     partial = parse_config({"potential": GAUSSIAN, "grid_policy": {"n": 101}})
     assert partial.grid_policy == GridPolicy(n=101)
     assert manifest_for(partial)["grid_policy"] == {
-        "t_half": 30.0, "n": 101, "max_doublings": 3, "agreements": 2, "certify": True}
+        "t_half": 30.0, "n": 101, "max_doublings": 3, "agreements": 2}
 
 
 def test_fourier_mode_kind_is_read_or_defaults_to_cos():

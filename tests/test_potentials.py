@@ -21,24 +21,17 @@ class TrigPolyPotential(PotentialSpec):
         return np.exp(-r * r) * (1.0 + np.cos(theta)) ** 2
 
 
-def test_polar_point_normalizes_angle():
-    p = bc.PolarPoint(2.0, 2.0 * np.pi + 0.5)
-    assert p.theta == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        bc.PolarPoint(0.0, 0.0)
-
-
 def test_eval_radial():
     spec = bc.RadialPotential(profile=bc.RadialProfile(lambda r: np.exp(-r)))
-    assert bc.evaluate(spec, bc.PolarPoint(1.0, np.pi)) == pytest.approx(math.exp(-1.0))
+    assert spec.eval_polar(1.0, np.pi) == pytest.approx(math.exp(-1.0))
 
 
 def test_eval_fourier_sum_convention():
     spec = bc.fourier_sum([(0, bc.RadialProfile(lambda r: np.ones_like(r)), "cos"),
                            (1, bc.RadialProfile(lambda r: np.ones_like(r)), "cos")])
     # mode (1, c) contributes 2 cos(theta) c(r)
-    assert bc.evaluate(spec, bc.PolarPoint(2.0, 0.0)) == pytest.approx(3.0)
-    assert bc.evaluate(spec, bc.PolarPoint(2.0, np.pi / 2)) == pytest.approx(1.0)
+    assert spec.eval_polar(2.0, 0.0) == pytest.approx(3.0)
+    assert spec.eval_polar(2.0, np.pi / 2) == pytest.approx(1.0)
 
 
 def test_eval_tabulated_constant_and_domain():
@@ -46,12 +39,12 @@ def test_eval_tabulated_constant_and_domain():
     th_grid = np.linspace(0, 2 * np.pi, 16, endpoint=False)
     spec = bc.TabulatedPotential(r_grid=r_grid, theta_grid=th_grid,
                                  values=np.full((4, 16), 3.0))
-    assert bc.evaluate(spec, bc.PolarPoint(1.3, 2.0)) == pytest.approx(3.0)
+    assert spec.eval_polar(1.3, 2.0) == pytest.approx(3.0)
     with pytest.raises(DomainError):
-        bc.evaluate(spec, bc.PolarPoint(10.0, 0.0))
+        spec.eval_polar(10.0, 0.0)
     spec_sup = bc.TabulatedPotential(r_grid=r_grid, theta_grid=th_grid,
                                      values=np.full((4, 16), 3.0), support=(0.5, 4.0))
-    assert bc.evaluate(spec_sup, bc.PolarPoint(10.0, 0.0)) == 0.0
+    assert spec_sup.eval_polar(10.0, 0.0) == 0.0
 
 
 def test_tabulated_interpolates_periodically_below_the_first_node():

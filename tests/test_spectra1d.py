@@ -172,7 +172,7 @@ def test_count_channel_positivity_cutoff(default_grid):
     dec = bc.decompose(bc.gaussian_well(1.0, 1.0))
     G = bc.effective_potential(dec)
     alpha = 50.0
-    sup = G.grid_max(default_grid.interior)
+    sup = float(np.max(G(default_grid.interior)))
     m_cut = math.ceil(math.sqrt(alpha * sup))
     assert bc.count_channel(G, alpha, m_cut, default_grid) == 0
     assert bc.count_channel(G, alpha, m_cut + 3, default_grid) == 0

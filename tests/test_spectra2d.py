@@ -1,5 +1,6 @@
 """2D block systems: assembly structure, exact counts, Hardy ratios."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,8 +13,15 @@ from boundcount.verify import random_fourier_spec
 from helpers import reference_angular_residual
 
 
-def dense_count(sys_):
-    return int(np.sum(np.linalg.eigvalsh(sys_.to_dense(max_dimension=100000)) < 0))
+def dense_pair(sys_, shift=0.0):
+    """(N_-, N_- without the constant channel's t = 0 row) of ``to_dense()``
+    by eigvalsh, the second None on a grid without a t = 0 node."""
+    A = sys_.to_dense(max_dimension=100000) - shift * np.eye(sys_.dimension)
+    full = int(np.sum(np.linalg.eigvalsh(A) < 0))
+    if sys_.grid.zero_index is None:
+        return full, None
+    keep = np.arange(sys_.dimension) != sys_.grid.zero_index * sys_.channel_set.size
+    return full, int(np.sum(np.linalg.eigvalsh(A[np.ix_(keep, keep)]) < 0))
 
 
 class SquaredCosine(PotentialSpec):
@@ -31,7 +39,7 @@ class SquaredCosine(PotentialSpec):
 
 def test_fourier_modes_radial_vanish():
     spec = bc.gaussian_well(1.0, 1.0)
-    vhat = bc.fourier_modes(spec, np.array([0.5, 1.0]), 4)
+    vhat = spec.angular_coefficients(np.array([0.5, 1.0]), 4, 256)
     assert np.all(vhat[:, 1:] == 0.0)
     assert vhat[:, 0].real == pytest.approx(np.exp(-np.array([0.25, 1.0])))
 
@@ -40,7 +48,7 @@ def test_fourier_modes_single_cosine():
     g = bc.gaussian_profile(1.0, 1.0)
     spec = bc.fourier_sum([(1, g, "cos")])  # V = 2 cos(theta) g(r)
     r = np.array([0.8, 1.7])
-    vhat = bc.fourier_modes(spec, r, 3)
+    vhat = spec.angular_coefficients(r, 3, 256)
     assert vhat[:, 1].real == pytest.approx(g(r))
     assert np.all(vhat[:, [0, 2, 3]] == 0.0)
 
@@ -50,7 +58,7 @@ def test_fourier_modes_squared_cosine_expansion():
     spec = SquaredCosine()
     r = np.array([0.6, 1.1])
     g = np.exp(-r * r)
-    vhat = bc.fourier_modes(spec, r, 3, n_theta=64)
+    vhat = spec.angular_coefficients(r, 3, n_theta=64)
     assert vhat[:, 0].real == pytest.approx(1.5 * g, rel=1e-12)
     assert vhat[:, 1].real == pytest.approx(g, rel=1e-12)
     assert vhat[:, 2].real == pytest.approx(0.25 * g, rel=1e-12)
@@ -61,14 +69,14 @@ def test_fourier_modes_squared_cosine_expansion():
 def test_fourier_modes_aliasing_guard():
     spec = SquaredCosine()
     with pytest.raises(bc.ConfigError):
-        bc.fourier_modes(spec, np.array([1.0]), 10, n_theta=16)
+        spec.angular_coefficients(np.array([1.0]), 10, n_theta=16)
 
 
 def test_fourier_modes_sin_convention():
     g = bc.gaussian_profile(1.0, 1.0)
     spec = bc.fourier_sum([(0, g, "cos"), (2, bc.gaussian_profile(0.3, 1.0), "sin")])
     r = np.array([1.0])
-    vhat = bc.fourier_modes(spec, r, 2)
+    vhat = spec.angular_coefficients(r, 2, 256)
     # 2 sin(2 theta) c(r) has Vhat_2 = -i c(r)
     assert vhat[0, 2] == pytest.approx(-1j * 0.3 * math.exp(-1.0))
 
@@ -124,14 +132,11 @@ def test_angular_residual_matches_per_pair_reference_bitwise():
     for m_max in range(9):
         for _ in range(2):
             spec = random_trig_spec(rng, max(2 * m_max, 1))
-            for constrained in (False, True):
-                sys_ = bc.assemble_full_2d(spec, 6.0, grid, channels=m_max,
-                                           constrained=constrained, max_dimension=10 ** 6)
-                for i in range(sys_.chan_diag.shape[1]):
-                    R = sys_.angular_residual(i)
-                    ref = reference_angular_residual(sys_.channels, sys_.pmodes[i],
-                                                     sys_.qmodes[i])
-                    assert R.tobytes() == ref.tobytes(), (m_max, constrained, i)
+            sys_ = bc.assemble_full_2d(spec, 6.0, grid, channels=m_max, max_dimension=10 ** 6)
+            for i in range(sys_.chan_diag.shape[1]):
+                R = sys_.angular_residual(i)
+                ref = reference_angular_residual(sys_.channels, sys_.pmodes[i], sys_.qmodes[i])
+                assert R.tobytes() == ref.tobytes(), (m_max, i)
 
 
 def test_potential_form_matches_per_pair_reference():
@@ -145,7 +150,7 @@ def test_potential_form_matches_per_pair_reference():
             profiles += [("cos", m, lambda t, m=m: t * np.exp(-t * t / m)),
                          ("sin", m, lambda t, m=m: np.exp(-t * t / (m + 1)))]
         chans = bc.ChannelSet(m_max).channels
-        vhat = bc.fourier_modes(spec, np.exp(t), 2 * m_max)
+        vhat = spec.angular_coefficients(np.exp(t), 2 * m_max, 256)
         p = np.where(np.arange(2 * m_max + 1) == 0, 0.0, vhat.real)
         U = np.array([func(t) for _, _, func in profiles])
         total = 0.0
@@ -183,8 +188,8 @@ def test_coupling_blocks_sampled_path_stability():
             return np.exp(-r * r) * (1.0 + 0.5 * np.cos(theta)) + self.bump * np.exp(-((r - 1) ** 2))
 
     r = np.array([0.7, 1.3])
-    base = bc.fourier_modes(WithBump(0.0), r, 3, n_theta=64)
-    bumped = bc.fourier_modes(WithBump(2.0), r, 3, n_theta=64)
+    base = WithBump(0.0).angular_coefficients(r, 3, n_theta=64)
+    bumped = WithBump(2.0).angular_coefficients(r, 3, n_theta=64)
     assert np.max(np.abs(base[:, 1:] - bumped[:, 1:])) <= 1e-14
 
 
@@ -206,7 +211,7 @@ def test_count_full_trivial_zero_potential():
     spec = bc.disk_well(0.0, 1.0)
     grid = bc.Grid1D.symmetric(5.0, 101)
     sys_ = bc.assemble_full_2d(spec, 10.0, grid)
-    assert bc.count_full_2d(sys_) == 0
+    assert bc.count_full_2d(sys_) == (0, 0)
     assert bc.count_tilde(spec, 10.0, grid) == 0
 
 
@@ -228,7 +233,7 @@ def test_count_full_matches_dense_oracle():
         spec = random_fourier_spec(rng)
         alpha = float(np.exp(rng.uniform(np.log(2.0), np.log(30.0))))
         sys_ = bc.assemble_full_2d(spec, alpha, grid)
-        assert bc.count_full_2d(sys_) == dense_count(sys_)
+        assert bc.count_full_2d(sys_) == dense_pair(sys_)
 
 
 def test_count_tilde_matches_dense_oracle():
@@ -237,8 +242,76 @@ def test_count_tilde_matches_dense_oracle():
     for _ in range(4):
         spec = random_fourier_spec(rng)
         alpha = float(np.exp(rng.uniform(np.log(2.0), np.log(30.0))))
-        sys_ = bc.assemble_full_2d(spec, alpha, grid, constrained=True)
-        assert bc.count_full_2d(sys_) == dense_count(sys_)
+        sys_ = bc.assemble_full_2d(spec, alpha, grid)
+        assert bc.count_tilde(spec, alpha, grid) == dense_pair(sys_)[1]
+    with pytest.raises(ValueError):
+        bc.count_tilde(spec, alpha, bc.Grid1D(-6.0, 6.0, 120))
+
+
+def both_paths(sys_):
+    """The system as assembled, and the same system through the block
+    Schur sweep whatever its modes."""
+    return sys_, dataclasses.replace(sys_, is_block_diagonal=False)
+
+
+def test_pair_matches_dense_counts_for_every_channel_cutoff():
+    rng = np.random.default_rng(19)
+    grid = bc.Grid1D.symmetric(4.0, 41)
+    for m_max in range(5):
+        for _ in range(3):
+            spec = random_trig_spec(rng, max(2 * m_max, 1))
+            alpha = float(np.exp(rng.uniform(np.log(2.0), np.log(30.0))))
+            sys_ = bc.assemble_full_2d(spec, alpha, grid, channels=m_max)
+            # m_max 0 keeps no mode above 0: block-diagonal, and through the
+            # block sweep the t = 0 slice without its constant channel is empty
+            assert sys_.is_block_diagonal == (m_max == 0)
+            for path in both_paths(sys_):
+                assert bc.count_full_2d(path) == dense_pair(sys_), (m_max, alpha)
+
+
+def test_pair_of_a_non_radial_spec_with_zero_modes():
+    spec = bc.fourier_sum([(0, bc.gaussian_profile(1.0, 1.0), "cos"),
+                           (2, bc.gaussian_profile(0.0, 1.0), "sin")])
+    grid = bc.Grid1D.symmetric(4.0, 61)
+    sys_ = bc.assemble_full_2d(spec, 25.0, grid, channels=3)
+    assert not spec.is_radial and sys_.is_block_diagonal
+    want = dense_pair(sys_)
+    assert want[0] > want[1] > 0
+    for path in both_paths(sys_):
+        assert bc.count_full_2d(path) == want
+
+
+def test_pair_on_a_grid_without_a_zero_node():
+    grid = bc.Grid1D(-4.0, 4.0, 40)
+    assert grid.zero_index is None
+    for spec in (bc.gaussian_well(1.0, 1.0), random_trig_spec(np.random.default_rng(23), 4)):
+        sys_ = bc.assemble_full_2d(spec, 20.0, grid, channels=2)
+        full, tilde = dense_pair(sys_)
+        assert full > 0 and tilde is None
+        for path in both_paths(sys_):
+            assert bc.count_full_2d(path) == (full, None)
+
+
+def test_block_sweep_retries_an_exactly_singular_pivot_at_the_shift(caplog):
+    # slice 0 is diagonal with an exact zero: the first sweep stops there
+    grid = bc.Grid1D.symmetric(2.0, 7)
+    rng = np.random.default_rng(29)
+    chan_diag = rng.uniform(-1.0, 3.0, (3, 5))
+    chan_diag[:, 0] = [0.0, 1.5, -0.5]
+    pmodes, qmodes = rng.uniform(-0.3, 0.3, (2, 5, 3))
+    pmodes[:, 0] = 0.0
+    pmodes[0] = qmodes[0] = 0.0
+    sys_ = bc.BlockSystem2D(grid=grid, channel_set=bc.ChannelSet(1), alpha=2.0,
+                            chan_diag=chan_diag, pmodes=pmodes, qmodes=qmodes,
+                            is_block_diagonal=False)
+    with caplog.at_level("WARNING", logger="boundcount.spectra2d"):
+        got = bc.count_full_2d(sys_)
+    assert "retrying with shift" in caplog.text
+    assert got == dense_pair(sys_, shift=bc.spectra1d.ZERO_PIVOT_SHIFT)
+    # a pivot that the shift itself makes exactly zero persists
+    chan_diag[:, 0] = [bc.spectra1d.ZERO_PIVOT_SHIFT, 1.5e3, -0.5]
+    with pytest.raises(bc.NumericalError):
+        bc.count_full_2d(sys_)
 
 
 def test_radial_consistency_exact():
@@ -249,7 +322,7 @@ def test_radial_consistency_exact():
         spec = bc.RadialPotential(profile=prof)
         alpha = float(np.exp(rng.uniform(np.log(2.0), np.log(80.0))))
         sys_ = bc.assemble_full_2d(spec, alpha, grid, max_dimension=10 ** 6)
-        assert bc.count_full_2d(sys_) == bc.count_radial_2d(
+        assert bc.count_full_2d(sys_)[0] == bc.count_radial_2d(
             prof, alpha, grid, m_max=sys_.channel_set.m_max)
 
 
@@ -274,8 +347,8 @@ def test_sandwich_rank_one():
         spec = random_fourier_spec(rng)
         alpha = float(np.exp(rng.uniform(np.log(1.0), np.log(40.0))))
         sys_ = bc.assemble_full_2d(spec, alpha, grid)
-        full = bc.count_full_2d(sys_)
-        tilde = bc.count_tilde(spec, alpha, grid, channels=sys_.channel_set)
+        full, tilde = bc.count_full_2d(sys_)
+        assert tilde == bc.count_tilde(spec, alpha, grid, channels=sys_.channel_set)
         assert tilde <= full <= tilde + 1
 
 
@@ -294,22 +367,23 @@ def test_channel_escalation_flags_and_grows():
     spec = bc.fourier_sum([(0, bc.gaussian_profile(1.0, 1.0), "cos"),
                            (2, bc.gaussian_profile(0.45, 1.0), "cos")])
     grid = bc.Grid1D.symmetric(6.0, 161)
-    count, m_used, ok = bc.count_2d_auto(spec, 30.0, grid)
-    assert ok
+    (count, m_used, ok), (tilde, m_tilde, ok_tilde) = bc.count_2d_auto(spec, 30.0, grid)
+    assert ok and ok_tilde
+    assert tilde <= count <= tilde + 1
     # severely under-truncated channel set undercounts
     under = bc.count_full_2d(bc.assemble_full_2d(spec, 30.0, grid, channels=1))
-    assert under <= count
+    assert under[0] <= count and under[1] <= tilde
 
 
 def test_monotone_in_alpha_and_potential():
     spec = bc.fourier_sum([(0, bc.gaussian_profile(1.0, 1.0), "cos"),
                            (1, bc.gaussian_profile(0.3, 1.0), "cos")])
     grid = bc.Grid1D.symmetric(6.0, 161)
-    counts = [bc.count_2d_auto(spec, a, grid)[0] for a in (5.0, 10.0, 20.0, 40.0)]
+    counts = [bc.count_2d_auto(spec, a, grid)[0][0] for a in (5.0, 10.0, 20.0, 40.0)]
     assert all(b >= a for a, b in zip(counts, counts[1:]))
     bigger = bc.fourier_sum([(0, bc.gaussian_profile(1.3, 1.0), "cos"),
                              (1, bc.gaussian_profile(0.3, 1.0), "cos")])
-    assert bc.count_2d_auto(bigger, 20.0, grid)[0] >= counts[2]
+    assert bc.count_2d_auto(bigger, 20.0, grid)[0][0] >= counts[2]
 
 
 # ---------------------------------------------------------------- Hardy ratios
