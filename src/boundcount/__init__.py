@@ -18,9 +18,8 @@ from .potentials import (Decomposition, EffectivePotential, FourierSumPotential,
                          gaussian_well, inverse_square_ring, log_borderline,
                          log_borderline_profile, radial_part, ring_profile,
                          validate_nonnegative)
-from .seminorms import (WeakNormReport, ZhatSequence, bound_functional, delta_functionals,
-                        l1lp_norm, n_plus, weak_norm_report, weak_quasinorm,
-                        weyl_coefficient, zhat)
+from .seminorms import (WeakNormReport, bound_functional, delta_functionals, l1lp_norm,
+                        n_plus, weak_norm_report, weak_quasinorm, weyl_coefficient, zhat)
 from .spectra1d import (CountResult, Grid1D, GridPolicy, birman_schwinger_1d,
                         certified_count, count_M, count_channel, count_channels,
                         tridiagonal_negative_count)

@@ -235,8 +235,7 @@ def check_prop_add(G: EffectivePotential, q: float, sweep_1d: SweepResult | tupl
     """Report the alpha^-q scaling of the 1D counts (the screening regime)."""
     if not q > 1:
         raise ValueError("the scaling check needs q > 1")
-    zh = zhat(G, J=J)
-    qn = weak_quasinorm(zh.values, q)
+    qn = weak_quasinorm(zhat(G, J=J), q)
     if isinstance(sweep_1d, SweepResult):
         alphas, counts = sweep_1d.alphas, sweep_1d.n_m
     else:

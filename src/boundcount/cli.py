@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -40,6 +41,28 @@ def _file_arg(flag: str, path: str):
         yield
     except OSError as exc:
         raise ConfigError(f"cannot use {flag} {path}: {exc.strerror or exc}") from exc
+
+
+# range of each numeric flag: (argument, accepts the value, what it must be)
+_FLAG_RANGES = (
+    ("alpha", lambda v: 0 <= v < math.inf, "finite and >= 0"),
+    ("m", lambda v: v >= 0, ">= 0"),
+    ("channels", lambda v: v >= 0, ">= 0"),
+    ("alpha_min", lambda v: 0 < v < math.inf, "finite and > 0"),
+    ("alpha_max", lambda v: 0 < v < math.inf, "finite and > 0"),
+    ("points", lambda v: v >= 4, ">= 4"),
+    ("threads", lambda v: v >= 1, ">= 1"),
+    ("window", lambda v: 0 < v <= 1, "in (0, 1]"),
+    ("seed", lambda v: v >= 0, ">= 0"),
+)
+
+
+def _check_flag_ranges(args) -> None:
+    """Reject an out-of-range flag value as a config error, before any work."""
+    for name, accepts, rule in _FLAG_RANGES:
+        value = getattr(args, name, None)
+        if value is not None and not accepts(value):
+            raise ConfigError(f"bad --{name.replace('_', '-')} value {value!r} (must be {rule})")
 
 
 def _check_out_dirs(args) -> None:
@@ -107,11 +130,11 @@ def cmd_norms(args) -> int:
     dec = decompose(config.spec, config.angular_nodes)
     G = effective_potential(dec)
     zh = zhat(G, J=config.truncation_index)
-    report = weak_norm_report(zh.values, q=1.0)
+    report = weak_norm_report(zh, q=1.0)
     l1lp = l1lp_norm(dec, p=config.p, n_theta=config.angular_nodes)
     weyl = weyl_coefficient(G)
     payload = {
-        "zeta": [float(v) for v in zh.values],
+        "zeta": [float(v) for v in zh],
         "quasinorm": report.quasinorm,
         "delta_upper": report.delta_upper,
         "delta_lower": report.delta_lower,
@@ -190,16 +213,15 @@ def cmd_count2d(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = load_config(args.config)
-    if config.sweep:
-        defaults = config.sweep
-    else:
-        defaults = {}
+    defaults = config.sweep or {}
     alpha_min = args.alpha_min if args.alpha_min is not None else defaults.get("alpha_min")
     alpha_max = args.alpha_max if args.alpha_max is not None else defaults.get("alpha_max")
     points = args.points if args.points is not None else defaults.get("points")
     if alpha_min is None or alpha_max is None or points is None:
         raise ConfigError("sweep needs --alpha-min/--alpha-max/--points "
                           "(flags or a 'sweep' config section)")
+    if not alpha_min < alpha_max:
+        raise ConfigError(f"sweep needs alpha_min < alpha_max, got {alpha_min} and {alpha_max}")
     result = sweep(config.spec, alpha_min, alpha_max, points,
                    policy=config.grid_policy, p=config.p,
                    n_theta=config.angular_nodes, J=config.truncation_index,
@@ -321,6 +343,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flag_ranges(args)
         _check_out_dirs(args)
         return args.func(args)
     except ConfigError as exc:

@@ -20,14 +20,12 @@ class NonFiniteError(ArithmeticError):
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to converge.
 
-    ``partial`` holds the best value obtained so far, ``tail_bound`` an
-    estimate of the unresolved remainder (when meaningful).
+    ``partial`` holds the best value obtained so far.
     """
 
-    def __init__(self, message, partial=None, tail_bound=None, interval=None):
+    def __init__(self, message, partial=None, interval=None):
         super().__init__(message)
         self.partial = partial
-        self.tail_bound = tail_bound
         self.interval = interval
 
 

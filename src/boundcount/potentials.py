@@ -443,6 +443,25 @@ class Decomposition:
     def v_nrad(self, r, theta) -> np.ndarray:
         return self.spec.eval_polar(r, theta) - self.v_rad(np.asarray(r, dtype=float))
 
+    def nrad_effective(self, theta: np.ndarray) -> tuple[Callable, tuple[float, ...]]:
+        """t -> e^{2t} V_nrad(e^t, theta) as a [theta, t] array, and the t
+        where it may jump.  Each radial profile goes through the rule that
+        gives G, so a Fourier sum is sum_{m>=1} 2 trig(m theta) G_m(t) and a
+        product (a(theta) - a_0) G(t); other potentials substitute V_nrad.
+        """
+        spec = self.spec
+        if isinstance(spec, FourierSumPotential):
+            terms = [(prof, 2.0 * (np.cos if kind == "cos" else np.sin)(m * theta))
+                     for m, prof, kind in spec.modes if m > 0]
+        elif isinstance(spec, ProductPotential):
+            terms = [(spec.profile, spec.angular_factor(theta) - float(spec._ahat[0].real))]
+        else:
+            return (_substituted(lambda r: self.v_nrad(r, theta[:, None]), spec.support),
+                    _support_edges(spec.support))
+        forms = [(_substitution_G(prof), trig[:, None]) for prof, trig in terms]
+        return (lambda t: sum(trig * G(t) for G, trig in forms),
+                tuple(e for prof, _ in terms for e in _support_edges(prof.support)))
+
 
 def _exact_radial_profile(spec: PotentialSpec) -> RadialProfile | None:
     """The angular mean in declarative form, when the variant provides it.
@@ -510,13 +529,19 @@ class EffectivePotential:
 def _substitution_G(v_rad: RadialProfile) -> Callable:
     if v_rad.effective_1d is not None:
         return v_rad.effective_1d
-    t_hi_support = None
-    if v_rad.support is not None:
-        t_hi_support = math.log(v_rad.support[1]) if v_rad.support[1] > 0 else -np.inf
+    return _substituted(v_rad, v_rad.support)
 
-    def G(t):
+
+def _substituted(f: Callable, support: tuple[float, float] | None) -> Callable:
+    """t -> e^{2t} f(e^t) for an evaluator f of r with no closed form in t:
+    zero beyond a declared support, and a DomainError past t = 354 without
+    one.  f may put axes (angles) before the axis of r."""
+    t_hi_support = None
+    if support is not None:
+        t_hi_support = math.log(support[1]) if support[1] > 0 else -np.inf
+
+    def form(t):
         t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
         if t_hi_support is not None:
             live = t <= t_hi_support
         else:
@@ -525,13 +550,14 @@ def _substitution_G(v_rad: RadialProfile) -> Callable:
                     "cannot evaluate e^{2t} v_rad(e^t) beyond t=354 for a profile "
                     "with no declared support or effective_1d form")
             live = np.ones_like(t, dtype=bool)
-        if np.any(live):
-            tl = t[live]
-            with np.errstate(over="ignore", under="ignore"):
-                out[live] = np.exp(2.0 * tl) * v_rad(np.exp(tl))
+        tl = t[live]
+        with np.errstate(over="ignore", under="ignore"):
+            vals = np.exp(2.0 * tl) * np.asarray(f(np.exp(tl)), dtype=float)
+        out = np.zeros(vals.shape[:-1] + t.shape)
+        out[..., live] = vals
         return out
 
-    return G
+    return form
 
 
 def effective_potential(dec: Decomposition, convention: str = SUBSTITUTION) -> EffectivePotential:
@@ -546,10 +572,14 @@ def effective_potential(dec: Decomposition, convention: str = SUBSTITUTION) -> E
             t = np.asarray(t, dtype=float)
             # e^{2|t|} = e^{2t} * e^{-4 min(t, 0)}
             return base(t) * np.exp(-4.0 * np.minimum(t, 0.0))
-    support = dec.v_rad.support or ()
     return EffectivePotential(func=func, convention=convention,
                               label=f"G[{dec.spec.label}]",
-                              edges=tuple(math.log(r) for r in support if r > 0))
+                              edges=_support_edges(dec.v_rad.support))
+
+
+def _support_edges(support: tuple[float, float] | None) -> tuple[float, ...]:
+    """The t = ln r of a support's edges, where a substituted profile may jump."""
+    return tuple(math.log(r) for r in support or () if r > 0)
 
 
 def validate_nonnegative(spec: PotentialSpec) -> None:

@@ -6,98 +6,93 @@ e^{j-1} < |t| < e^j.  Its weak-l1 quasinorm, together with the L1(R+, Lp(S))
 norm of the non-radial part, makes up the bound functional B; the counting
 estimate asserts N_- <= 1 + C(p) alpha B with an unspecified constant, so
 only B and empirical ratios are ever reported.
+
+zhat, the Weyl coefficient and the L1Lp norm integrate over the line t = ln r
+by one rule, ``_line_shells``: the piece over (-1, 1), then unit shells in
+s = ln|t|, each split at the integrand's support edges.  zhat keeps J + 1
+pieces; the other two add shells until two in a row are quiet, within
+MAX_SHELLS (|t| up to e^600), so tails as slow as 1/(t^2 ln t) settle.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .errors import QuadratureError
-from .potentials import Decomposition, EffectivePotential, PotentialSpec, decompose, effective_potential
+from .potentials import Decomposition, EffectivePotential, effective_potential
 from .quadrature import adaptive_integral, angular_nodes
 
 # default_window spans this fraction of the distinct thresholds above the floor
 WINDOW_TAIL_FRACTION = 0.3
-# l1lp_norm's tail check integrates this many units of t beyond each end
-L1LP_TAIL_MARGIN = 6.0
+# relative tolerance of every integral over the line
+REL_TOL = 1e-8
+# shells a converging line integral may use before it gives up
+MAX_SHELLS = 600
 
 
-@dataclass(frozen=True)
-class ZhatSequence:
-    """Truncated sequence zhat_0..zhat_J with per-entry quadrature errors.
-
-    Entry 0 integrates G over (-1, 1); entry j >= 1 integrates |t| G(t) over
-    e^{j-1} < |t| < e^j (both signs of t summed).
-    """
-
-    values: np.ndarray
-    errors: np.ndarray
-
-    @property
-    def truncation_index(self) -> int:
-        return self.values.size - 1
-
-    def __len__(self):
-        return self.values.size
-
-    def __getitem__(self, j):
-        return self.values[j]
-
-
-def _split_integral(f: Callable, a: float, b: float, cuts, rel_tol: float,
-                    interval_id=None) -> tuple[float, float]:
+def _split_integral(f: Callable, a: float, b: float, cuts, interval_id=None) -> float:
     """adaptive_integral over [a, b] in pieces split at the ``cuts`` inside
     it: a jump between a panel's outermost node and its edge is invisible to
     the bisection estimate, so the jumps of f must be panel edges."""
-    points = [a, *sorted(c for c in cuts if a < c < b), b]
-    value = err = 0.0
+    points = [a, *sorted({c for c in cuts if a < c < b}), b]
+    value = 0.0
     for lo, hi in zip(points, points[1:]):
-        v, e = adaptive_integral(f, lo, hi, rel_tol, interval_id=interval_id)
-        value += v
-        err += e
-    return value, err
+        value += adaptive_integral(f, lo, hi, REL_TOL, interval_id=interval_id)[0]
+    return value
 
 
-def _jumps(G) -> tuple[tuple, list]:
-    """Where G may jump: the support edges it carries, in t, and those at
-    |t| > 1 as positions s = ln|t| of the shell integrals."""
-    edges = G.edges if isinstance(G, EffectivePotential) else ()
-    return edges, [math.log(abs(t)) for t in edges if abs(t) > 1.0]
+def _line_shells(g: Callable, edges, power: float) -> Iterator[float]:
+    """The pieces of an integral of g over the line.
 
-
-def zhat(G: EffectivePotential | Callable, J: int = 40, rel_tol: float = 1e-8) -> ZhatSequence:
-    """Compute zhat_0..zhat_J.
-
-    Shell integrals are evaluated in s = ln|t| (unit-length panels), where
-    int |t| G dt per side becomes int e^{2s} [G(e^s) + G(-e^s)] ds.  Panels
-    are split at the support edges G carries.
+    First int_{-1}^{1} g dt, then for j = 1, 2, ... the shell
+    int_{j-1}^{j} e^{power s} [g(e^s) + g(-e^s)] ds, which is the part
+    e^{j-1} < |t| < e^j of int |t|^{power-1} g dt.  Panels are split at the
+    ``edges``, the t where g may jump.
     """
-    if J < 1:
-        raise ValueError("truncation index J must be >= 1")
-    g = G if callable(G) else G.func
-    edges, cuts = _jumps(G)
-    values = np.zeros(J + 1)
-    errors = np.zeros(J + 1)
-    try:
-        values[0], errors[0] = _split_integral(g, -1.0, 1.0, edges, rel_tol, interval_id=0)
-    except QuadratureError as exc:
-        raise QuadratureError(f"zhat entry 0 did not converge: {exc}", interval=0) from exc
+    yield _split_integral(g, -1.0, 1.0, edges, interval_id=0)
+    cuts = [math.log(abs(t)) for t in edges if abs(t) > 1.0]
 
     def shell(s):
         t = np.exp(s)
-        return np.exp(2.0 * s) * (np.asarray(g(t), dtype=float) + np.asarray(g(-t), dtype=float))
+        return np.exp(power * s) * (np.asarray(g(t), dtype=float) + np.asarray(g(-t), dtype=float))
 
-    for j in range(1, J + 1):
-        try:
-            values[j], errors[j] = _split_integral(shell, float(j - 1), float(j), cuts,
-                                                   rel_tol, interval_id=j)
-        except QuadratureError as exc:
-            raise QuadratureError(f"zhat entry {j} did not converge: {exc}", interval=j) from exc
-    return ZhatSequence(values=values, errors=errors)
+    for j in itertools.count(1):
+        yield _split_integral(shell, float(j - 1), float(j), cuts, interval_id=j)
+
+
+def _line_integral(g: Callable, edges, what: str) -> float:
+    """int_R g dt, adding shells until two in a row are quiet; past
+    MAX_SHELLS, QuadratureError carrying the partial sum."""
+    pieces = _line_shells(g, edges, 1.0)
+    value = next(pieces)
+    quiet = 0
+    for _ in range(MAX_SHELLS):
+        sj = next(pieces)
+        value += sj
+        quiet = quiet + 1 if sj <= REL_TOL * max(abs(value), 1e-300) else 0
+        if quiet >= 2:
+            return value
+    raise QuadratureError(f"{what} did not converge within {MAX_SHELLS} shells", partial=value)
+
+
+def _integrand(G) -> tuple[Callable, tuple]:
+    """G's evaluator and the support edges it carries, in t."""
+    return (G.func, G.edges) if isinstance(G, EffectivePotential) else (G, ())
+
+
+def zhat(G: EffectivePotential | Callable, J: int = 40) -> np.ndarray:
+    """The truncated sequence zhat_0..zhat_J: the first J + 1 pieces of the
+    line with weight |t|.  Entry 0 integrates G over (-1, 1); entry j >= 1
+    integrates |t| G(t) over e^{j-1} < |t| < e^j, both signs of t summed.
+    A QuadratureError's ``interval`` is the entry that did not converge."""
+    if J < 1:
+        raise ValueError("truncation index J must be >= 1")
+    return np.array(list(itertools.islice(_line_shells(*_integrand(G), 2.0), J + 1)))
 
 
 def n_plus(eps: float, x) -> int:
@@ -146,8 +141,7 @@ class WeakNormReport:
             raise AssertionError("delta_lower <= delta_upper <= quasinorm violated")
 
 
-def delta_functionals(x, q: float = 1.0, window: tuple[float, float] | None = None
-                      ) -> tuple[float, float]:
+def delta_functionals(x, q: float, window: tuple[float, float]) -> tuple[float, float]:
     """(max, min) of eps * n_plus(eps, x)^{1/q} over jump thresholds inside
     the window.
 
@@ -155,13 +149,9 @@ def delta_functionals(x, q: float = 1.0, window: tuple[float, float] | None = No
     window extrema sit at the jumps: the maximum is approached just below a
     jump value (counting entries >= it), the minimum attained at the jump
     itself (strict count).  A window containing no jumps reports (0, 0): the
-    sequence has no spectral content at those scales.  ``window`` defaults to
-    the thresholds produced by the last 30% of the entries, staying above the
-    truncation floor.
+    sequence has no spectral content at those scales.
     """
     a = np.abs(np.asarray(x, dtype=float))
-    if window is None:
-        window = default_window(x)
     lo, hi = float(window[0]), float(window[1])
     if not (0 < lo <= hi):
         raise ValueError(f"invalid epsilon window [{lo}, {hi}]")
@@ -195,103 +185,48 @@ def default_window(x) -> tuple[float, float]:
     return float(above[0]), float(above[k - 1])
 
 
-def weak_norm_report(x, q: float = 1.0, window: tuple[float, float] | None = None
-                     ) -> WeakNormReport:
-    if window is None:
-        window = default_window(x)
+def weak_norm_report(x, q: float = 1.0) -> WeakNormReport:
+    """The quasinorm and the delta functionals over ``default_window(x)``."""
+    window = default_window(x)
     upper, lower = delta_functionals(x, q, window)
     return WeakNormReport(q=q, quasinorm=weak_quasinorm(x, q),
                           delta_upper=upper, delta_lower=lower,
                           epsilon_window=(float(window[0]), float(window[1])))
 
 
-def l1lp_norm(f, p: float = 2.0, n_theta: int = 256,
-              t_lo: float = -30.0, t_hi: float = 30.0,
-              rel_tol: float = 1e-8) -> float:
-    """int_0^inf ( int_S |f(r,theta)|^p dtheta )^{1/p} r dr.
-
-    ``f`` may be a Decomposition (its non-radial part is used) or a
-    broadcasting evaluator f(r, theta).  The radial integral runs in t = ln r
-    over [t_lo, t_hi] with adaptive panels; a trailing check integrates
-    L1LP_TAIL_MARGIN further units on each side and raises QuadratureError
-    (carrying the partial value and the tail bound) if the tails are not
-    negligible.
-    """
+def l1lp_norm(dec: Decomposition, p: float = 2.0, n_theta: int = 256) -> float:
+    """||V_nrad||_{L1(R+, Lp(S))} = int_0^inf ( int_S |V_nrad(r,theta)|^p dtheta )^{1/p} r dr,
+    the line integral of ||e^{2t} V_nrad(e^t, .)||_p (n_theta-node periodic
+    rule; ``Decomposition.nrad_effective``, so no r = e^t overflows).
+    QuadratureError means the norm is infinite or too slow to settle."""
     if not p > 1:
         raise ValueError("L1Lp norm needs p > 1")
-    if isinstance(f, Decomposition):
-        if f.is_radial:
-            return 0.0
-        func = f.v_nrad
-        if f.spec.support is not None:
-            lo, hi = f.spec.support
-            if hi > 0:
-                t_hi = min(t_hi, math.log(hi) + 1.0)
-            if lo > 0:
-                t_lo = max(t_lo, math.log(lo) - 1.0)
-    else:
-        func = f
+    if dec.is_radial:
+        return 0.0
     theta, w = angular_nodes(n_theta)
+    form, edges = dec.nrad_effective(theta)
 
     def integrand(t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        r = np.exp(t)
-        vals = np.abs(np.asarray(func(r[:, None], theta[None, :]), dtype=float))
-        inner = (w * np.sum(vals ** p, axis=-1)) ** (1.0 / p)
-        return np.exp(2.0 * t) * inner
+        # scaled by the largest |value| at each t, so that |V_nrad|^p neither
+        # underflows on a slow tail far out on the line nor overflows
+        a = np.abs(form(t))
+        top = np.max(a, axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inner = top * (w * np.sum((a / top) ** p, axis=0)) ** (1.0 / p)
+        return np.where(top > 0, inner, 0.0)
 
-    value, _ = adaptive_integral(integrand, t_lo, t_hi, rel_tol)
-    scale = max(abs(value), 1e-300)
-    tail_hi, _ = adaptive_integral(integrand, t_hi, t_hi + L1LP_TAIL_MARGIN, 1e-4)
-    tail_lo, _ = adaptive_integral(integrand, t_lo - L1LP_TAIL_MARGIN, t_lo, 1e-4)
-    tail = tail_hi + tail_lo
-    if tail > 100.0 * rel_tol * scale:
-        raise QuadratureError(
-            f"L1Lp radial integral has a non-negligible tail beyond [{t_lo}, {t_hi}]",
-            partial=value, tail_bound=tail)
-    return value + tail
+    return _line_integral(integrand, edges, "the L1Lp norm")
 
 
-def weyl_coefficient(spec_or_G, n_theta: int = 256,
-                     rel_tol: float = 1e-8, max_shells: int = 600) -> float:
-    """(4 pi)^-1 int_{R^2} V dx, computed as (1/2) int G dt.
-
-    Accepts a PotentialSpec, a Decomposition, or an EffectivePotential; the
-    substitution convention makes (4 pi)^-1 int V dx = (1/2) int_R G(t) dt.
-    The |t| > 1 part is summed over unit shells in s = ln|t| (reaching t up
-    to e^max_shells), so integrable tails as slow as 1/(t^2 ln t) still
-    settle; panels are split at the support edges G carries.
-    QuadratureError means the integral genuinely fails to converge and the
-    coefficient is meaningless.
-    """
-    if isinstance(spec_or_G, PotentialSpec):
-        G = effective_potential(decompose(spec_or_G, n_theta))
-    elif isinstance(spec_or_G, Decomposition):
-        G = effective_potential(spec_or_G)
-    else:
-        G = spec_or_G
-    g = G.func if isinstance(G, EffectivePotential) else G
-    edges, cuts = _jumps(G)
-    value, _ = _split_integral(g, -1.0, 1.0, edges, rel_tol)
-
-    def shell(s):
-        t = np.exp(s)
-        return np.exp(s) * (np.asarray(g(t), dtype=float) + np.asarray(g(-t), dtype=float))
-
-    quiet = 0
-    for j in range(1, max_shells + 1):
-        sj, _ = _split_integral(shell, float(j - 1), float(j), cuts, rel_tol, interval_id=j)
-        value += sj
-        quiet = quiet + 1 if sj <= rel_tol * max(abs(value), 1e-300) else 0
-        if quiet >= 2:
-            return 0.5 * value
-    raise QuadratureError("int V dx did not converge within the shell budget",
-                          partial=0.5 * value, tail_bound=None)
+def weyl_coefficient(G: EffectivePotential | Callable) -> float:
+    """(4 pi)^-1 int_{R^2} V dx = (1/2) int_R G(t) dt under the substitution
+    convention.  QuadratureError (its ``partial`` a partial int G dt) means
+    the integral fails to converge and the coefficient is meaningless."""
+    return 0.5 * _line_integral(*_integrand(G), "int G dt")
 
 
 def bound_functional(dec: Decomposition, G: EffectivePotential | None = None,
-                     p: float = 2.0, J: int = 40, n_theta: int | None = None,
-                     rel_tol: float = 1e-8) -> float:
+                     p: float = 2.0, J: int = 40, n_theta: int | None = None) -> float:
     """B = ||V_nrad||_{L1 Lp} + ||zhat(G)||_{1,inf}.
 
     The counting estimate reads N_- <= 1 + C(p) alpha B with C(p) unknown;
@@ -300,6 +235,4 @@ def bound_functional(dec: Decomposition, G: EffectivePotential | None = None,
     if G is None:
         G = effective_potential(dec)
     nt = n_theta if n_theta is not None else dec.n_theta
-    nrad = l1lp_norm(dec, p=p, n_theta=nt, rel_tol=rel_tol)
-    zh = zhat(G, J=J, rel_tol=rel_tol)
-    return nrad + weak_quasinorm(zh.values, 1.0)
+    return l1lp_norm(dec, p=p, n_theta=nt) + weak_quasinorm(zhat(G, J=J), 1.0)

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 
+from boundcount.potentials import EffectivePotential
+from boundcount.quadrature import adaptive_integral
+
 
 def shooting_negative_count(G, t_max=40.0, steps=400000):
     """Oscillation-count oracle for -u'' = alpha G u on (0, inf), u(0) = 0.
@@ -138,3 +141,55 @@ def reference_angular_residual(channels, p, q):
             R[a, b] = val
             R[b, a] = val
     return R
+
+
+def _reference_split_integral(f, a, b, cuts, rel_tol=1e-8):
+    points = [a, *sorted(c for c in cuts if a < c < b), b]
+    value = err = 0.0
+    for lo, hi in zip(points, points[1:]):
+        v, e = adaptive_integral(f, lo, hi, rel_tol)
+        value += v
+        err += e
+    return value, err
+
+
+def _reference_jumps(G):
+    edges = G.edges if isinstance(G, EffectivePotential) else ()
+    g = G.func if isinstance(G, EffectivePotential) else G
+    return g, edges, [math.log(abs(t)) for t in edges if abs(t) > 1.0]
+
+
+def reference_zhat(G, J):
+    """zhat_0..zhat_J as a loop of J fixed shells in s = ln|t|, each split at
+    G's support edges: the shell rule's reference for zhat."""
+    g, edges, cuts = _reference_jumps(G)
+    values = np.zeros(J + 1)
+    values[0], _ = _reference_split_integral(g, -1.0, 1.0, edges)
+
+    def shell(s):
+        t = np.exp(s)
+        return np.exp(2.0 * s) * (np.asarray(g(t), dtype=float) + np.asarray(g(-t), dtype=float))
+
+    for j in range(1, J + 1):
+        values[j], _ = _reference_split_integral(shell, float(j - 1), float(j), cuts)
+    return values
+
+
+def reference_weyl(G, rel_tol=1e-8, max_shells=600):
+    """(1/2) int G dt as a loop over shells until two in a row are quiet:
+    the shell rule's reference for the Weyl coefficient."""
+    g, edges, cuts = _reference_jumps(G)
+    value, _ = _reference_split_integral(g, -1.0, 1.0, edges)
+
+    def shell(s):
+        t = np.exp(s)
+        return np.exp(s) * (np.asarray(g(t), dtype=float) + np.asarray(g(-t), dtype=float))
+
+    quiet = 0
+    for j in range(1, max_shells + 1):
+        sj, _ = _reference_split_integral(shell, float(j - 1), float(j), cuts)
+        value += sj
+        quiet = quiet + 1 if sj <= rel_tol * max(abs(value), 1e-300) else 0
+        if quiet >= 2:
+            return 0.5 * value
+    raise AssertionError("reference Weyl loop did not converge")

@@ -198,8 +198,8 @@ def test_criterion_7_non_weyl_borderline(borderline_sweep):
     G = bc.effective_potential(bc.decompose(bc.log_borderline(1.0)))
     J = 40
     zh = bc.zhat(G, J=J)
-    qn = bc.weak_quasinorm(zh.values, 1.0)
-    upper, lower = bc.delta_functionals(zh.values, 1.0, window=(1.0 / J, 1.0 / 5.0))
+    qn = bc.weak_quasinorm(zh, 1.0)
+    upper, lower = bc.delta_functionals(zh, 1.0, window=(1.0 / J, 1.0 / 5.0))
     part_a = np.isfinite(qn) and qn > 0 and lower > 0
 
     est_m = bc.estimate_limits(res.alphas, res.n_m, 1.0, 0.3)

@@ -185,8 +185,8 @@ def test_check_prop_add_heavy_tail_family():
         return 1.0 / ((1.0 + t * t) * np.sqrt(1.0 + np.log1p(np.abs(t))))
 
     G = bc.EffectivePotential.from_callable(g)
-    z20 = bc.zhat(G, J=20).values
-    z40 = bc.zhat(G, J=40).values
+    z20 = bc.zhat(G, J=20)
+    z40 = bc.zhat(G, J=40)
     assert bc.weak_quasinorm(z40, 2.0) == pytest.approx(bc.weak_quasinorm(z20, 2.0), rel=0.05)
     assert bc.weak_quasinorm(z40, 1.0) > 1.3 * bc.weak_quasinorm(z20, 1.0)
     grid = bc.Grid1D.symmetric(30.0, 3001)

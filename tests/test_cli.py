@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import boundcount as bc
-from boundcount import cli
+from boundcount import cli, config
 from boundcount.verify import SuiteReport
 
 
@@ -50,6 +50,66 @@ def test_norms_gaussian_weyl(tmp_path, capsys):
     assert payload["bound_B"] == pytest.approx(payload["quasinorm"])
     assert len(payload["zeta"]) == 21
     assert payload["delta_lower"] <= payload["delta_upper"] <= payload["quasinorm"] + 1e-12
+
+
+def test_norms_on_log_borderline_modes(tmp_path, capsys):
+    # a non-radial part with a 1/(t^2 ln t) tail in t = ln r: finite, and once
+    # given up on by a fixed window in t
+    doc = {"potential": {"family": "fourier_sum", "params": {"modes": [
+        {"m": 0, "profile": {"shape": "log_borderline", "c": 1.0}},
+        {"m": 1, "kind": "cos", "profile": {"shape": "log_borderline", "c": 0.25}}]}}}
+    assert cli.main(["norms", "--config", write_config(tmp_path, doc)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    payload = json.loads(captured.out)
+    assert payload["l1lp"] == pytest.approx(1.65881216, rel=1e-7)
+    assert payload["bound_B"] == pytest.approx(payload["l1lp"] + payload["quasinorm"])
+
+
+def _draw_params(rng, params):
+    """Keyword parameters for one table row, drawn from its schemas: positive
+    ones log-uniformly, free numbers sometimes negative, so that validation
+    rejects some of them."""
+    return {name: float(np.exp(rng.uniform(-1.5, 1.5))) if "exclusiveMinimum" in schema
+            else float(rng.uniform(-0.5, 2.0))
+            for name, schema in params.items()}
+
+
+def _draw_potential(rng, shape):
+    """A radial family, or a Fourier sum whose m = 0 profile has ``shape``."""
+    if rng.random() < 0.25:
+        family = str(rng.choice(["disk_well", "gaussian", "log_borderline"]))
+        return {"family": family, "params": _draw_params(rng, config._FAMILIES[family][1])}
+    base = {"shape": shape, **_draw_params(rng, config._PROFILES[shape][1])}
+    modes = [{"m": 0, "profile": base}]
+    for m in rng.choice(np.arange(1, 4), size=int(rng.integers(0, 3)), replace=False):
+        if rng.random() < 0.6:
+            # a scaled copy of the m = 0 profile (its first parameter is the
+            # amplitude) keeps the sum non-negative
+            first = next(iter(config._PROFILES[shape][1]))
+            prof = {**base, first: base[first] * float(rng.uniform(0.0, 0.24))}
+        else:
+            other = str(rng.choice(sorted(config._PROFILES)))
+            prof = {"shape": other, **_draw_params(rng, config._PROFILES[other][1])}
+        modes.append({"m": int(m), "kind": str(rng.choice(["cos", "sin"])), "profile": prof})
+    return {"family": "fourier_sum", "params": {"modes": modes}}
+
+
+def test_norms_fuzz_exits_0_or_rejects_in_one_line(tmp_path, capsys):
+    rng = np.random.default_rng(2024)
+    accepted = 0
+    for case in range(100):
+        shape = sorted(config._PROFILES)[case % len(config._PROFILES)]
+        doc = {"potential": _draw_potential(rng, shape), "truncation_index": 20}
+        code = cli.main(["norms", "--config", write_config(tmp_path, doc)])
+        captured = capsys.readouterr()
+        if code == 0:
+            accepted += 1
+            assert captured.err == "" and json.loads(captured.out)["l1lp"] >= 0, doc
+        else:
+            assert code == 2 and captured.out == "", (code, captured.err, doc)
+            assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1, doc
+    assert accepted >= 40
 
 
 def test_missing_config_exits_2(capsys):
@@ -274,6 +334,37 @@ def test_decompose_rejects_bad_radii(tmp_path, capsys, radii):
     cfg = write_config(tmp_path, GAUSSIAN_CONFIG)
     assert cli.main(["decompose", "--config", cfg, f"--radii={radii}"]) == 2
     assert capsys.readouterr().err.startswith(f"config error: bad --radii value {radii!r}")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["count2d", "--alpha", "10", "--channels", "-1"], "--channels"),
+    (["count2d", "--alpha", "nan"], "--alpha"),
+    (["count1d", "--alpha", "-5"], "--alpha"),
+    (["count1d", "--alpha", "5", "--m", "-2"], "--m"),
+    (["sweep", "--points", "3"], "--points"),
+    (["sweep", "--alpha-min", "0"], "--alpha-min"),
+    (["sweep", "--alpha-max", "inf"], "--alpha-max"),
+    (["sweep", "--threads", "0"], "--threads"),
+    (["report", "--check", "as2", "--window", "0"], "--window"),
+    (["verify", "--suite", "bs", "--seed", "-1"], "--seed"),
+])
+def test_out_of_range_flag_exits_2_with_one_line(tmp_path, capsys, argv, flag):
+    files = {"sweep": ["--config", write_config(tmp_path, DISK_CONFIG),
+                       "--out", str(tmp_path / "s.csv")],
+             "report": ["--in", str(tmp_path / "never_read.csv")],
+             "verify": []}
+    argv = argv[:1] + files.get(argv[0], ["--config", write_config(tmp_path, GAUSSIAN_CONFIG)]) + argv[1:]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: bad {flag} value")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+def test_sweep_range_must_increase(tmp_path, capsys):
+    cfg = write_config(tmp_path, DISK_CONFIG)
+    argv = ["sweep", "--config", cfg, "--out", str(tmp_path / "s.csv"), "--alpha-min", "90"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error: sweep needs alpha_min < alpha_max")
 
 
 def test_verify_suite_exit_codes(monkeypatch, capsys):

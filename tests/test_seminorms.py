@@ -8,7 +8,9 @@ from scipy.integrate import quad
 
 import boundcount as bc
 from boundcount.errors import QuadratureError
+from boundcount.quadrature import angular_nodes
 from boundcount.seminorms import default_window
+from helpers import reference_weyl, reference_zhat
 
 
 def brute_force_quasinorm(x, q):
@@ -31,15 +33,15 @@ def brute_force_quasinorm(x, q):
 
 def test_zhat_zero_potential():
     zh = bc.zhat(lambda t: np.zeros_like(np.asarray(t, float)), J=6)
-    assert np.all(zh.values == 0.0)
+    assert np.all(zh == 0.0)
 
 
 def test_zhat_unit_window():
     G = bc.EffectivePotential.from_callable(
         lambda t: ((np.asarray(t) > -1) & (np.asarray(t) < 1)).astype(float))
     zh = bc.zhat(G, J=5)
-    assert zh.values[0] == pytest.approx(2.0, rel=1e-12)
-    assert np.all(zh.values[1:] == pytest.approx(0.0, abs=1e-12))
+    assert zh[0] == pytest.approx(2.0, rel=1e-12)
+    assert np.all(zh[1:] == pytest.approx(0.0, abs=1e-12))
 
 
 def test_zhat_inverse_square_gives_constant_shells():
@@ -47,8 +49,8 @@ def test_zhat_inverse_square_gives_constant_shells():
     G = bc.EffectivePotential.from_callable(
         lambda t: np.where(np.abs(t) > 1.0, 1.0 / np.maximum(t * t, 1e-300), 0.0))
     zh = bc.zhat(G, J=10)
-    assert zh.values[0] == pytest.approx(0.0, abs=1e-12)
-    assert zh.values[1:] == pytest.approx(np.full(10, 2.0), rel=1e-9)
+    assert zh[0] == pytest.approx(0.0, abs=1e-12)
+    assert zh[1:] == pytest.approx(np.full(10, 2.0), rel=1e-9)
 
 
 def test_zhat_borderline_decay_and_oracle():
@@ -58,21 +60,21 @@ def test_zhat_borderline_decay_and_oracle():
 
     zh = bc.zhat(g, J=40)
     j = np.arange(5, 41)
-    assert np.all(zh.values[5:] * j >= 0.5)
-    assert np.all(zh.values[5:] * j <= 2.0)
+    assert np.all(zh[5:] * j >= 0.5)
+    assert np.all(zh[5:] * j <= 2.0)
     # adaptive scipy oracle on two shells
     for jj in (3, 7):
         lo, hi = math.exp(jj - 1), math.exp(jj)
         ref = 2.0 * quad(lambda t: t * g(np.array([t]))[0], lo, hi, limit=500)[0]
-        assert zh.values[jj] == pytest.approx(ref, rel=1e-7)
+        assert zh[jj] == pytest.approx(ref, rel=1e-7)
 
 
 def test_zhat_additive_in_G():
     g1 = lambda t: np.exp(-np.asarray(t, float) ** 2)
     g2 = lambda t: 1.0 / (1.0 + np.asarray(t, float) ** 4)
-    z1 = bc.zhat(g1, J=8).values
-    z2 = bc.zhat(g2, J=8).values
-    z12 = bc.zhat(lambda t: g1(t) + g2(t), J=8).values
+    z1 = bc.zhat(g1, J=8)
+    z2 = bc.zhat(g2, J=8)
+    z12 = bc.zhat(lambda t: g1(t) + g2(t), J=8)
     assert z12 == pytest.approx(z1 + z2, abs=1e-10)
 
 
@@ -182,38 +184,79 @@ def test_default_window_tracks_tail():
 # ---------------------------------------------------------------- L1Lp norm
 
 
+def mode_spec(*modes):
+    """Fourier sum of (m, profile, kind) modes with no m = 0 profile: V_nrad is
+    the whole sum, whose sign these tests do not need."""
+    return bc.decompose(bc.fourier_sum(list(modes)))
+
+
+def divergent_profile():
+    """A profile whose effective form is 1/(1+|t|): int G dt diverges like ln|t|."""
+    return bc.RadialProfile(
+        lambda r: 1.0 / (r * r * (1.0 + np.abs(np.log(r)))),
+        effective_1d=lambda t: 1.0 / (1.0 + np.abs(np.asarray(t, float))), label="divergent")
+
+
 def test_l1lp_radial_factorizes():
-    g = lambda r: np.exp(-r * r)
+    # V_nrad = cos(theta) e^{-r^2}: (int |cos|^p dtheta)^{1/p}, by the same
+    # periodic rule, times int e^{-r^2} r dr = 1/2
+    dec = mode_spec((1, bc.gaussian_profile(0.5, 1.0), "cos"))
+    theta, w = angular_nodes(256)
     for p in (2.0, 3.0):
-        val = bc.l1lp_norm(lambda r, th: g(r) * np.ones_like(th), p=p,
-                           t_lo=-12.0, t_hi=6.0)
-        expected = (2 * np.pi) ** (1.0 / p) * 0.5  # int e^{-r^2} r dr = 1/2
-        assert val == pytest.approx(expected, rel=1e-8)
+        inner = w * np.sum(np.abs(np.cos(theta)) ** p)
+        assert bc.l1lp_norm(dec, p=p) == pytest.approx(inner ** (1.0 / p) * 0.5, rel=1e-10)
+    # cos and sin of one mode: int (cos + sin)^2 dtheta = 2 pi
+    both = mode_spec((1, bc.gaussian_profile(0.5, 1.0), "cos"),
+                     (1, bc.gaussian_profile(0.5, 1.0), "sin"))
+    assert bc.l1lp_norm(both) == pytest.approx(math.sqrt(2.0 * math.pi) * 0.5, rel=1e-10)
 
 
 def test_l1lp_cosine_ring_frozen_value():
-    def f(r, th):
-        r, th = np.broadcast_arrays(np.asarray(r, float), np.asarray(th, float))
-        return np.cos(th) * ((r >= 1.0) & (r <= 2.0))
-
-    val = bc.l1lp_norm(f, p=2.0, t_lo=-3.0, t_hi=3.0)
-    # inner integral: sqrt(pi); radial: int_1^2 r dr = 3/2; the support jumps
-    # limit the panel quadrature to ~1e-8 relative accuracy
-    assert val == pytest.approx(math.sqrt(math.pi) * 1.5, rel=1e-7)
+    # V_nrad = cos(theta) 1_{[1,2]}(r): inner integral sqrt(pi), radial
+    # int_1^2 r dr = 3/2; the support jumps are panel edges
+    val = bc.l1lp_norm(mode_spec((1, bc.ring_profile(0.5, 1.0, 2.0), "cos")), p=2.0)
+    assert val == pytest.approx(math.sqrt(math.pi) * 1.5, rel=1e-12)
     assert val == pytest.approx(2.658680776358274, rel=1e-7)
 
 
+@pytest.mark.parametrize("profile, radial", [
+    (bc.disk_profile(0.5, 1.5), 1.5 ** 2 / 2),
+    (bc.ring_profile(0.5, 0.5, 2.0), (2.0 ** 2 - 0.5 ** 2) / 2),
+    (bc.inverse_square_ring(0.5, 0.3, 3.0), math.log(10.0)),
+])
+def test_l1lp_jumps_are_panel_edges(profile, radial):
+    # V_nrad = cos(theta) f(r) with f jumping at its support edges: the norm
+    # is sqrt(pi) int f r dr, and the jumps must not cost accuracy
+    dec = mode_spec((1, profile, "cos"))
+    assert bc.l1lp_norm(dec, p=2.0) == pytest.approx(math.sqrt(math.pi) * radial, rel=1e-12)
+
+
 def test_l1lp_zero_and_homogeneous_and_monotone():
-    zero = bc.l1lp_norm(lambda r, th: np.zeros(np.broadcast_shapes(np.shape(r), np.shape(th))),
-                        p=2.0, t_lo=-2.0, t_hi=2.0)
-    assert zero == 0.0
-    f = lambda r, th: np.cos(th) * np.exp(-np.asarray(r, float) ** 2)
-    v1 = bc.l1lp_norm(f, p=2.0, t_lo=-12.0, t_hi=6.0)
-    v2 = bc.l1lp_norm(lambda r, th: 2.0 * f(r, th), p=2.0, t_lo=-12.0, t_hi=6.0)
+    assert bc.l1lp_norm(mode_spec((1, bc.gaussian_profile(0.0, 1.0), "cos")), p=2.0) == 0.0
+    v1 = bc.l1lp_norm(mode_spec((1, bc.gaussian_profile(0.25, 1.0), "cos")), p=2.0)
+    v2 = bc.l1lp_norm(mode_spec((1, bc.gaussian_profile(0.5, 1.0), "cos")), p=2.0)
     assert v2 == pytest.approx(2.0 * v1, rel=1e-10)
-    bigger = bc.l1lp_norm(lambda r, th: (np.abs(np.cos(th)) + 0.5) * np.exp(-np.asarray(r, float) ** 2),
-                          p=2.0, t_lo=-12.0, t_hi=6.0)
+    # an orthogonal mode on the same profile can only grow the L2(S) norm
+    bigger = bc.l1lp_norm(mode_spec((1, bc.gaussian_profile(0.25, 1.0), "cos"),
+                                    (2, bc.gaussian_profile(0.25, 1.0), "sin")), p=2.0)
     assert bigger >= v1
+
+
+def test_l1lp_product_and_table_match_the_fourier_form():
+    # 1 + cos(theta) as an angular factor is the Fourier mode (1, 1/2 profile, cos)
+    theta = 2 * np.pi * np.arange(16) / 16
+    product = bc.decompose(bc.ProductPotential(profile=bc.gaussian_profile(1.0, 1.0),
+                                               angular_samples=1.0 + np.cos(theta)))
+    fourier = mode_spec((1, bc.gaussian_profile(0.5, 1.0), "cos"))
+    assert bc.l1lp_norm(product) == pytest.approx(bc.l1lp_norm(fourier), rel=1e-12)
+    # a table constant in r on its annulus: its angular norm times int_{1/2}^2 r dr,
+    # with the table's edges as panel edges and nothing evaluated beyond them
+    table = bc.decompose(bc.TabulatedPotential(
+        r_grid=np.array([0.5, 1.0, 2.0]), theta_grid=theta,
+        values=np.outer(np.ones(3), 1.0 + np.cos(theta)), support=(0.5, 2.0)))
+    nodes, w = angular_nodes(256)
+    inner = math.sqrt(w * np.sum(table.v_nrad(np.ones(1), nodes) ** 2))
+    assert bc.l1lp_norm(table) == pytest.approx(inner * (2.0 ** 2 - 0.5 ** 2) / 2, rel=1e-12)
 
 
 def test_l1lp_radial_decomposition_shortcut():
@@ -221,28 +264,42 @@ def test_l1lp_radial_decomposition_shortcut():
     assert bc.l1lp_norm(dec, p=2.0) == 0.0
 
 
+def test_l1lp_log_borderline_mode_settles():
+    # a non-radial part decaying like 1/(t^2 ln t) in t: finite, and within
+    # reach of the shells (0.5 cos(theta) G with G the c = 1 effective form)
+    spec = bc.fourier_sum([(0, bc.log_borderline_profile(1.0), "cos"),
+                           (1, bc.log_borderline_profile(0.25), "cos")])
+    g = lambda t: 1.0 / ((1.0 + t * t) * (1.0 + math.log1p(t)))
+    line = 2.0 * (quad(g, 0, 1)[0] + quad(g, 1, np.inf, limit=800)[0])
+    assert bc.l1lp_norm(bc.decompose(spec), p=2.0) == pytest.approx(
+        0.5 * math.sqrt(math.pi) * line, rel=1e-7)
+
+
 def test_l1lp_tail_failure_carries_partial():
-    slow = lambda r, th: np.ones(np.broadcast_shapes(np.shape(r), np.shape(th))) / (
-        1.0 + np.asarray(r, float) ** 2.5)
+    # a non-radial part whose effective form is 1/(1+|t|): the norm is infinite
     with pytest.raises(QuadratureError) as info:
-        bc.l1lp_norm(slow, p=2.0, t_lo=-6.0, t_hi=6.0)
-    assert info.value.partial is not None and info.value.tail_bound is not None
+        bc.l1lp_norm(mode_spec((1, divergent_profile(), "cos")), p=2.0)
+    assert info.value.partial is not None and info.value.partial > 0
 
 
 # ---------------------------------------------------------------- Weyl coefficient
 
 
+def weyl(spec):
+    return bc.weyl_coefficient(bc.effective_potential(bc.decompose(spec)))
+
+
 def test_weyl_examples():
-    assert bc.weyl_coefficient(bc.disk_well(1.0, 1.0)) == pytest.approx(0.25, rel=1e-10)
-    assert bc.weyl_coefficient(bc.gaussian_well(1.0, 1.0)) == pytest.approx(0.25, rel=1e-8)
-    assert bc.weyl_coefficient(bc.disk_well(2.0, 1.0)) == pytest.approx(0.5, rel=1e-10)
+    assert weyl(bc.disk_well(1.0, 1.0)) == pytest.approx(0.25, rel=1e-10)
+    assert weyl(bc.gaussian_well(1.0, 1.0)) == pytest.approx(0.25, rel=1e-8)
+    assert weyl(bc.disk_well(2.0, 1.0)) == pytest.approx(0.5, rel=1e-10)
 
 
 def test_weyl_linearity():
-    a = bc.weyl_coefficient(bc.gaussian_well(1.0, 1.0))
-    b = bc.weyl_coefficient(bc.disk_well(1.0, 1.5))
+    a = weyl(bc.gaussian_well(1.0, 1.0))
+    b = weyl(bc.disk_well(1.0, 1.5))
     both = bc.fourier_sum([(0, bc.gaussian_profile(1.0, 1.0), "cos")])
-    assert bc.weyl_coefficient(both) == pytest.approx(a, rel=1e-9)
+    assert weyl(both) == pytest.approx(a, rel=1e-9)
     assert b == pytest.approx(0.25 * 1.5 ** 2, rel=1e-10)
 
 
@@ -252,7 +309,7 @@ def test_disk_jump_off_the_panel_edges(radius):
     G = bc.effective_potential(bc.decompose(bc.disk_well(1.0, radius)))
     assert bc.weyl_coefficient(G) == pytest.approx(radius ** 2 / 4, rel=1e-9)
     zhat0 = (min(radius, math.e) ** 2 - math.exp(-2.0)) / 2
-    assert bc.zhat(G, J=3).values[0] == pytest.approx(zhat0, rel=1e-9)
+    assert bc.zhat(G, J=3)[0] == pytest.approx(zhat0, rel=1e-9)
 
 
 def test_ring_jumps_split_the_line_and_the_shells():
@@ -260,7 +317,7 @@ def test_ring_jumps_split_the_line_and_the_shells():
     G = bc.effective_potential(bc.decompose(bc.RadialPotential(
         profile=bc.ring_profile(1.0, 0.5, 5.0))))
     assert bc.weyl_coefficient(G) == pytest.approx((5.0 ** 2 - 0.5 ** 2) / 4, rel=1e-9)
-    zh = bc.zhat(G, J=3).values
+    zh = bc.zhat(G, J=3)
     assert zh[0] == pytest.approx((math.e ** 2 - 0.5 ** 2) / 2, rel=1e-9)
 
     def primitive(t):  # of t e^{2t}
@@ -268,6 +325,14 @@ def test_ring_jumps_split_the_line_and_the_shells():
 
     assert zh[1] == pytest.approx(primitive(math.log(5.0)) - primitive(1.0), rel=1e-9)
     assert not np.any(zh[2:])
+
+
+def test_edges_at_opposite_t_share_one_shell_cut():
+    # a ring on [e^-2, e^2] jumps at t = -2 and t = 2, both at s = ln 2
+    G = bc.effective_potential(bc.decompose(bc.RadialPotential(
+        profile=bc.ring_profile(1.0, math.exp(-2.0), math.exp(2.0)))))
+    assert bc.weyl_coefficient(G) == pytest.approx((math.exp(4) - math.exp(-4)) / 4, rel=1e-9)
+    assert bc.zhat(G, J=3)[1] > 0
 
 
 def test_weyl_borderline_slow_tail_converges():
@@ -279,10 +344,30 @@ def test_weyl_borderline_slow_tail_converges():
 
 
 def test_weyl_divergent_raises():
-    G = bc.EffectivePotential.from_callable(
-        lambda t: 1.0 / (1.0 + np.abs(np.asarray(t, float))))
-    with pytest.raises(QuadratureError):
-        bc.weyl_coefficient(G, max_shells=60)
+    G = bc.EffectivePotential.from_callable(divergent_profile().effective_1d)
+    with pytest.raises(QuadratureError) as info:
+        bc.weyl_coefficient(G)
+    assert info.value.partial > 0
+
+
+# ---------------------------------------------------------------- one shell rule
+
+
+def reference_Gs():
+    """G's of every shape the line integrals meet: smooth, jumps at and off
+    the panel edges, flat windows, slow tails, and a bare callable."""
+    radial = [bc.gaussian_well(1.0, 1.0), bc.disk_well(1.0, 0.998), bc.disk_well(1.0, 1.0),
+              bc.disk_well(1.0, 1.133), bc.RadialPotential(profile=bc.ring_profile(1.0, 0.5, 5.0)),
+              bc.RadialPotential(profile=bc.inverse_square_ring(1.0, 0.3, 3.0)),
+              bc.log_borderline(1.0)]
+    Gs = [bc.effective_potential(bc.decompose(spec)) for spec in radial]
+    return Gs + [lambda t: 1.0 / (1.0 + np.asarray(t, float) ** 4)]
+
+
+@pytest.mark.parametrize("G", reference_Gs())
+def test_shell_rule_matches_the_reference_loops_bit_for_bit(G):
+    assert bc.zhat(G, J=40).tobytes() == reference_zhat(G, 40).tobytes()
+    assert np.float64(bc.weyl_coefficient(G)).tobytes() == np.float64(reference_weyl(G)).tobytes()
 
 
 # ---------------------------------------------------------------- bound functional
@@ -301,7 +386,7 @@ def test_bound_functional_pure_nonradial():
     dec = bc.decompose(spec, n_theta=128)
     G = bc.effective_potential(dec)
     zh = bc.zhat(G, J=5)
-    assert np.all(zh.values == 0.0)
+    assert np.all(zh == 0.0)
     val = bc.bound_functional(dec, G, p=2.0, J=5)
     assert val == pytest.approx(math.sqrt(math.pi) * 1.5, rel=1e-7)
 

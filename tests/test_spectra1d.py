@@ -264,7 +264,7 @@ def test_empirical_bs_bound_running_sup_is_stable():
     dec = bc.decompose(bc.gaussian_well(1.0, 1.0))
     G = bc.effective_potential(dec)
     grid = bc.Grid1D.symmetric(30.0, 6001)
-    zn = bc.weak_quasinorm(bc.zhat(G, J=30).values, 1.0)
+    zn = bc.weak_quasinorm(bc.zhat(G, J=30), 1.0)
     alphas = np.geomspace(5.0, 2000.0, 24)
     ratios = [bc.birman_schwinger_1d(G, 1.0 / a, grid) / (a * zn) for a in alphas]
     running = np.maximum.accumulate(ratios)

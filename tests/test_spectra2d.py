@@ -9,7 +9,7 @@ import pytest
 import boundcount as bc
 from boundcount.errors import MatrixSizeError
 from boundcount.potentials import PotentialSpec
-from boundcount.verify import random_fourier_spec
+from boundcount.verify import dense_bs_count, random_fourier_spec
 from helpers import reference_angular_residual
 
 
@@ -353,14 +353,18 @@ def test_sandwich_rank_one():
 
 
 def test_birman_schwinger_2d_identity():
+    # against the generalized eigenvalues of (V-mass, constrained stiffness)
+    # by dense Cholesky and eigvalsh, on systems of order 394
     rng = np.random.default_rng(17)
-    grid = bc.Grid1D.symmetric(6.0, 161)
+    grid = bc.Grid1D.symmetric(4.0, 81)
+    counts = []
     for _ in range(8):
         spec = random_fourier_spec(rng)
-        alpha = float(np.exp(rng.uniform(np.log(1.0), np.log(40.0))))
-        assert bc.birman_schwinger_2d(spec, 1.0 / alpha, grid) == bc.count_tilde(
-            spec, alpha, grid)
-    assert bc.birman_schwinger_2d(random_fourier_spec(rng), 1e9, grid) == 0
+        eps = 1.0 / float(np.exp(rng.uniform(np.log(1.0), np.log(40.0))))
+        counts.append(bc.birman_schwinger_2d(spec, eps, grid, channels=2))
+        assert counts[-1] == dense_bs_count(spec, eps, grid, 2)
+    assert any(counts)
+    assert bc.birman_schwinger_2d(random_fourier_spec(rng), 1e9, grid, channels=2) == 0
 
 
 def test_channel_escalation_flags_and_grows():
