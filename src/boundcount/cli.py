@@ -138,7 +138,7 @@ def cmd_norms(args) -> int:
         "quasinorm": report.quasinorm,
         "delta_upper": report.delta_upper,
         "delta_lower": report.delta_lower,
-        "epsilon_window": list(report.epsilon_window),
+        "epsilon_window": None if report.epsilon_window is None else list(report.epsilon_window),
         "truncation_caveat": report.truncation_caveat,
         "l1lp": l1lp,
         "weyl_coeff": weyl,

@@ -125,14 +125,15 @@ class WeakNormReport:
 
     ``delta_upper``/``delta_lower`` estimate limsup/liminf of
     eps * n_plus(eps)^{1/q} from thresholds inside the window; they are
-    truncation-aware estimates, never claimed as limits.
+    truncation-aware estimates, never claimed as limits.  An all-zero
+    sequence has no thresholds: every value is 0 and the window is None.
     """
 
     q: float
     quasinorm: float
     delta_upper: float
     delta_lower: float
-    epsilon_window: tuple[float, float]
+    epsilon_window: tuple[float, float] | None
     truncation_caveat: bool = True
 
     def __post_init__(self):
@@ -186,11 +187,15 @@ def default_window(x) -> tuple[float, float]:
 
 
 def weak_norm_report(x, q: float = 1.0) -> WeakNormReport:
-    """The quasinorm and the delta functionals over ``default_window(x)``."""
+    """The quasinorm and the delta functionals over ``default_window(x)``;
+    an all-zero ``x`` reports 0 for all three and no window."""
+    quasinorm = weak_quasinorm(x, q)
+    if quasinorm == 0.0:
+        return WeakNormReport(q=q, quasinorm=0.0, delta_upper=0.0, delta_lower=0.0,
+                              epsilon_window=None)
     window = default_window(x)
     upper, lower = delta_functionals(x, q, window)
-    return WeakNormReport(q=q, quasinorm=weak_quasinorm(x, q),
-                          delta_upper=upper, delta_lower=lower,
+    return WeakNormReport(q=q, quasinorm=quasinorm, delta_upper=upper, delta_lower=lower,
                           epsilon_window=(float(window[0]), float(window[1])))
 
 

@@ -6,7 +6,9 @@ int (|grad u|^2 - alpha V |u|^2) dx becomes block-tridiagonal: per-channel
 and diagonal-in-t couplings -alpha e^{2t} Vhat_{m-m'}(e^t) between modes.
 Complex modes are paired into cos/sin channels so every matrix is real
 symmetric, and negative eigenvalues are counted exactly by a block
-Schur-complement recursion (the block analogue of the Sturm sweep).
+Schur-complement recursion (the block analogue of the Sturm sweep).  A pivot
+block D that Cholesky factors counts 0 without eigh if ||D||_1 ||D^-1||_1 <
+CONDITION_LIMIT: that bounds kappa_2(D), keeping D clear of the singular guard.
 
 The constrained operator H~ deletes the t = 0 node of the constant channel,
 which is the discrete form of the mean-zero condition int u(1, theta)
@@ -20,7 +22,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,6 +42,8 @@ DEFAULT_MAX_DIMENSION = 12000
 CUTOFF_GUARD = 4
 ESCALATION_STEP = 2
 MAX_ESCALATIONS = 4
+CONDITION_LIMIT = 1e12  # of a pivot block's ||D||_1 ||D^-1||_1, for the Cholesky path
+GATHER_SLICES = 32  # pivot blocks a block pass builds per gather, bounding its memory
 
 
 @dataclass(frozen=True)
@@ -55,11 +59,8 @@ class ChannelSet:
 
     @property
     def channels(self) -> list[tuple[str, int]]:
-        out = [("const", 0)]
-        for m in range(1, self.m_max + 1):
-            out.append(("cos", m))
-            out.append(("sin", m))
-        return out
+        return [("const", 0)] + [(kind, m) for m in range(1, self.m_max + 1)
+                                 for kind in ("cos", "sin")]
 
     @property
     def size(self) -> int:
@@ -97,15 +98,16 @@ def system_dimension(m_max: int, grid: Grid1D, constrained: bool) -> int:
     return ChannelSet(m_max).size * (grid.n - 2) - (1 if constrained else 0)
 
 
+@cache
 def _pair_table(channel_set: ChannelSet) -> Callable[[np.ndarray], np.ndarray]:
     """How each channel pair (a, b) couples, decided once per channel set.
 
-    Returns the gather that maps a slice's mode row x = [p | q] (p_k =
-    Re Vhat_k with p_0 = 0, since mode 0 lives in the diagonal; q_k =
-    -Im Vhat_k; k = 0..2 m_max) to its angular residual, entrywise
-    R = c1 x[i1] + c2 x[i2].  An absent second term reads -0.0 * p_0 = -0.0,
-    the exact additive identity, so every entry keeps the value, bit for bit,
-    of the pair's own formula.
+    Returns the gather that maps mode rows x = [p | q] (p_k = Re Vhat_k with
+    p_0 = 0, since mode 0 lives in the diagonal; q_k = -Im Vhat_k; k = 0..2
+    m_max; one row per slice) to their angular residuals, entrywise
+    R = c1 x[..., i1] + c2 x[..., i2].  An absent second term reads -0.0 * p_0
+    = -0.0, the exact additive identity, so every entry keeps the value, bit
+    for bit, of the pair's own formula.
     """
     K = 2 * channel_set.m_max + 1
     m = np.array([mode for _, mode in channel_set.channels])
@@ -124,7 +126,7 @@ def _pair_table(channel_set: ChannelSet) -> Callable[[np.ndarray], np.ndarray]:
     i2 = np.where(same, both, np.where(split, K + diff, 0))
     c2 = np.where(same, np.where(sin, -1.0, 1.0),
                   np.where(split, np.sign(np.where(sin, 1, -1) * (m[:, None] - m)), -0.0))
-    return lambda x: c1 * x[i1] + c2 * x[i2]
+    return lambda x: c1 * x[..., i1] + c2 * x[..., i2]
 
 
 @dataclass(frozen=True)
@@ -147,33 +149,27 @@ class BlockSystem2D:
     is_block_diagonal: bool
 
     @property
-    def channels(self) -> list[tuple[str, int]]:
-        return self.channel_set.channels
-
-    @property
     def dimension(self) -> int:
         return system_dimension(self.channel_set.m_max, self.grid, False)
 
-    @cached_property
-    def _pairs(self) -> Callable[[np.ndarray], np.ndarray]:
-        return _pair_table(self.channel_set)
+    def angular_residual(self, slices: slice | np.ndarray = slice(None)) -> np.ndarray:
+        """R(r_i) = A(r_i) - p_0(r_i) I of the given slices (all by default), [n, B, B];
+        from modes k >= 1 only, so it vanishes identically for radial potentials."""
+        return _pair_table(self.channel_set)(np.hstack((self.pmodes[slices], self.qmodes[slices])))
 
-    @cached_property
-    def _t_interior(self) -> np.ndarray:
-        return self.grid.interior
-
-    def angular_residual(self, i: int) -> np.ndarray:
-        """R(r_i) = A(r_i) - p_0(r_i) I in the real channel basis; built from
-        modes k >= 1 only, so it vanishes identically for radial potentials."""
-        return self._pairs(np.concatenate((self.pmodes[i], self.qmodes[i])))
-
-    def slice_matrix(self, i: int, shift: float = 0.0) -> np.ndarray:
-        """Dense diagonal block of slice i."""
-        D = np.diag(self.chan_diag[:, i] - shift)
+    def blocks(self, shift: float = 0.0, slices: slice | np.ndarray = slice(None)) -> np.ndarray:
+        """Dense diagonal blocks of the given slices (all by default), [n, B, B],
+        from one gather; a slice whose modes above 0 all vanish gets no
+        residual, nor an overflowing e^{2t} times zero."""
+        diag = self.chan_diag[:, slices].T - shift
+        D = np.where(np.eye(diag.shape[1], dtype=bool), diag[:, :, None], 0.0)
         if not self.is_block_diagonal:
-            if np.any(self.pmodes[i, 1:] != 0.0) or np.any(self.qmodes[i, 1:] != 0.0):
-                R = self.angular_residual(i)
-                D = D - self.alpha * (math.exp(2.0 * self._t_interior[i]) * R)
+            live = np.any(np.hstack((self.pmodes[slices, 1:], self.qmodes[slices, 1:])), 1)
+            rows = np.arange(len(self.pmodes))[slices][live]
+            R = self.angular_residual(rows)  # scaled in place to alpha (e^{2t} R)
+            R *= np.array([math.exp(2.0 * t) for t in self.grid.interior[rows]])[:, None, None]
+            R *= self.alpha
+            D[live] -= R
         return D
 
     def to_dense(self, max_dimension: int = DEFAULT_MAX_DIMENSION) -> np.ndarray:
@@ -182,10 +178,9 @@ class BlockSystem2D:
             raise MatrixSizeError(
                 f"dense dimension {self.dimension} exceeds ceiling {max_dimension}; "
                 "use fewer channels or a coarser grid")
-        B = self.channel_set.size
+        n_int, B = self.chan_diag.shape[1], self.channel_set.size
         A = np.zeros((self.dimension, self.dimension))
-        for i in range(self.chan_diag.shape[1]):
-            A[i * B:(i + 1) * B, i * B:(i + 1) * B] = self.slice_matrix(i)
+        A.reshape(n_int, B, n_int, B)[np.arange(n_int), :, np.arange(n_int), :] = self.blocks()
         # each channel couples to itself on the neighbouring slices through -1/h^2
         k = np.arange(B, self.dimension)
         A[k - B, k] = A[k, k - B] = -1.0 / self.grid.h ** 2
@@ -205,15 +200,9 @@ def assemble_full_2d(spec: PotentialSpec, alpha: float, grid: Grid1D,
     if G is None:
         G = effective_potential(dec)
     if channels is None:
-        if spec.is_radial:
-            m_max = radial_cutoff_m_max(G, alpha, grid)
-        else:
-            m_max = coupled_cutoff_m_max(spec, alpha, grid, n_theta)
-        channel_set = ChannelSet(m_max)
-    elif isinstance(channels, ChannelSet):
-        channel_set = channels
-    else:
-        channel_set = ChannelSet(int(channels))
+        channels = (radial_cutoff_m_max(G, alpha, grid) if spec.is_radial
+                    else coupled_cutoff_m_max(spec, alpha, grid, n_theta))
+    channel_set = channels if isinstance(channels, ChannelSet) else ChannelSet(int(channels))
     B = channel_set.size
     n_int = grid.n - 2
     # radial systems stay block-diagonal (one pivot pass over the channels,
@@ -267,30 +256,47 @@ def _count_block_diagonal(sys: BlockSystem2D) -> tuple[int, int | None]:
     return full, None if zero is None else full - int(counts[1]) + int(counts[0])
 
 
+def _pivot_inverses(D: np.ndarray, where: np.ndarray) -> tuple[int, np.ndarray]:
+    """(negatives, inverses) of a stack of pivot blocks D: 0 when Cholesky factors it and every
+    ||D||_1 ||D^-1||_1 < CONDITION_LIMIT, otherwise eigh's count under the guard of _negatives."""
+    try:
+        np.linalg.cholesky(D)
+        inv = np.linalg.inv(D)
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        if np.all(np.linalg.norm(D, 1, (1, 2)) * np.linalg.norm(inv, 1, (1, 2)) < CONDITION_LIMIT):
+            return 0, inv
+    w, U = np.linalg.eigh(D)
+    return sum(map(_negatives, w, where)), (U / w[:, None, :]) @ np.swapaxes(U, 1, 2)
+
+
 def _count_block_tridiagonal(sys: BlockSystem2D, shift: float = 0.0) -> tuple[int, int | None]:
     """Block Schur-complement sweep: the inertia of the block-tridiagonal
     matrix is the sum of the inertias of its pivot blocks, in any
-    elimination order.  Slices are eliminated from both ends toward the
-    t = 0 slice, which is factored last: whole for N_-(H), and without its
-    constant channel for N_-(H~), since no other pivot block reads that row.
-    Without a t = 0 node the sweep ends at the last slice."""
+    elimination order.  Slices go from both ends toward the t = 0 slice, the
+    two sides stacked into one LAPACK call a step, and that slice is factored
+    last: whole for N_-(H), without its constant channel (a row no other pivot
+    reads) for N_-(H~); without a t = 0 node the sweep ends at the last slice.
+    Positive-definite pivots with ||D||_1 ||D^-1||_1 < CONDITION_LIMIT skip
+    eigh: that product bounds kappa_2(D), so the guard could not stop on them."""
     esq = (1.0 / sys.grid.h ** 2) ** 2
-    n_int = sys.chan_diag.shape[1]
+    n_int, B = sys.chan_diag.shape[1], sys.channel_set.size
     zero = sys.grid.zero_index
     last = n_int - 1 if zero is None else zero
-    total = 0
-    D_last = sys.slice_matrix(last, shift)
-    for order in (range(last), range(n_int - 1, last, -1)):
-        prev_inv = None
-        for i in order:
-            D = sys.slice_matrix(i, shift)
-            if prev_inv is not None:
-                D -= esq * prev_inv
-            w, U = np.linalg.eigh(D)
-            total += _negatives(w, i)
-            prev_inv = (U / w) @ U.T
-        if prev_inv is not None:
-            D_last -= esq * prev_inv
+    ons = [slice(0 if k < last else 1, 2 if k < n_int - 1 - last else 1)
+           for k in range(max(last, n_int - 1 - last))]
+    steps = [np.array((k, n_int - 1 - k))[on] for k, on in enumerate(ons)]
+    order = np.concatenate(steps + [np.array([last])])
+    blocks = (D for start in range(0, order.size, GATHER_SLICES)
+              for D in sys.blocks(shift, order[start:start + GATHER_SLICES]))
+    # the inverse before each side's first slice is zero: it subtracts exactly nothing
+    inv, total = np.zeros((2, B, B)), 0
+    for on, idx in zip(ons, steps):
+        D = np.array([next(blocks) for _ in idx])
+        negatives, inv[on] = _pivot_inverses(D - esq * inv[on], idx)
+        total += negatives
+    D_last = next(blocks) - esq * inv[0] - esq * inv[1]
     full = total + _negatives(np.linalg.eigvalsh(D_last), last)
     return full, None if zero is None else total + _negatives(
         np.linalg.eigvalsh(D_last[1:, 1:]), last)
@@ -456,17 +462,11 @@ def potential_form(spec: PotentialSpec, channel_profiles: Sequence[tuple[str, in
     p0 = vhat[:, 0].real
     modes = np.hstack((vhat.real, -vhat.imag))
     modes[:, 0] = 0.0  # the residual's rows: mode 0 enters through p0 below
-    pairs = _pair_table(channel_set)
     U = np.zeros((channel_set.size, t.size))
     for kind, m, func in channel_profiles:
         U[order[(kind, m)]] += np.asarray(func(t), dtype=float)
-    eye = np.eye(channel_set.size)
-    total = 0.0
-    for i in range(t.size):
-        A = pairs(modes[i]) + eye * p0[i]
-        u = U[:, i]
-        total += math.exp(2.0 * t[i]) * float(u @ A @ u)
-    return grid.h * total
+    A = _pair_table(channel_set)(modes) + np.eye(channel_set.size) * p0[:, None, None]
+    return grid.h * sum(math.exp(2.0 * ti) * float(u @ Ai @ u) for ti, Ai, u in zip(t, A, U.T))
 
 
 def qform_check(spec: PotentialSpec, f0: Callable, f1: Sequence[tuple[str, int, Callable]],

@@ -143,6 +143,69 @@ def reference_angular_residual(channels, p, q):
     return R
 
 
+def reference_slice_blocks(sys_, shift=0.0):
+    """The diagonal blocks of a BlockSystem2D built slice by slice, each from
+    the per-pair residual: the one-gather blocks' reference."""
+    t = sys_.grid.interior
+    blocks = []
+    for i in range(t.size):
+        D = np.diag(sys_.chan_diag[:, i] - shift)
+        if not sys_.is_block_diagonal:
+            if np.any(sys_.pmodes[i, 1:] != 0.0) or np.any(sys_.qmodes[i, 1:] != 0.0):
+                R = reference_angular_residual(sys_.channel_set.channels, sys_.pmodes[i],
+                                               sys_.qmodes[i])
+                D = D - sys_.alpha * (math.exp(2.0 * t[i]) * R)
+        blocks.append(D)
+    return np.array(blocks)
+
+
+class ReferenceSingularPivot(Exception):
+    pass
+
+
+def _reference_negatives(w):
+    wmax = float(np.max(np.abs(w), initial=0.0))
+    if w.size and (wmax == 0.0 or float(np.min(np.abs(w))) <= 1e-14 * wmax):
+        raise ReferenceSingularPivot
+    return int(np.count_nonzero(w < 0))
+
+
+def _reference_block_sweep(sys_, shift):
+    esq = (1.0 / sys_.grid.h ** 2) ** 2
+    blocks = reference_slice_blocks(sys_, shift)
+    n_int = len(blocks)
+    zero = sys_.grid.zero_index
+    last = n_int - 1 if zero is None else zero
+    total = 0
+    D_last = blocks[last].copy()
+    for order in (range(last), range(n_int - 1, last, -1)):
+        prev_inv = None
+        for i in order:
+            D = blocks[i].copy()
+            if prev_inv is not None:
+                D -= esq * prev_inv
+            w, U = np.linalg.eigh(D)
+            total += _reference_negatives(w)
+            prev_inv = (U / w) @ U.T
+        if prev_inv is not None:
+            D_last -= esq * prev_inv
+    full = total + _reference_negatives(np.linalg.eigvalsh(D_last))
+    if zero is None:
+        return full, None
+    return full, total + _reference_negatives(np.linalg.eigvalsh(D_last[1:, 1:]))
+
+
+def reference_block_pass(sys_):
+    """(N_-(H), N_-(H~)) of a coupled BlockSystem2D by an eigh of every
+    pivot block, one side after the other toward the t = 0 slice, re-run
+    with the diagonal raised by 1e-12 on a nearly singular pivot: the block
+    kernel's reference.  Raises ReferenceSingularPivot when that does not help."""
+    try:
+        return _reference_block_sweep(sys_, 0.0)
+    except ReferenceSingularPivot:
+        return _reference_block_sweep(sys_, -1e-12)
+
+
 def _reference_split_integral(f, a, b, cuts, rel_tol=1e-8):
     points = [a, *sorted(c for c in cuts if a < c < b), b]
     value = err = 0.0

@@ -69,9 +69,10 @@ def test_norms_on_log_borderline_modes(tmp_path, capsys):
 def _draw_params(rng, params):
     """Keyword parameters for one table row, drawn from its schemas: positive
     ones log-uniformly, free numbers sometimes negative, so that validation
-    rejects some of them."""
+    rejects some of them, and sometimes exactly zero, so that some potentials
+    vanish."""
     return {name: float(np.exp(rng.uniform(-1.5, 1.5))) if "exclusiveMinimum" in schema
-            else float(rng.uniform(-0.5, 2.0))
+            else 0.0 if rng.random() < 0.2 else float(rng.uniform(-0.5, 2.0))
             for name, schema in params.items()}
 
 
@@ -97,7 +98,7 @@ def _draw_potential(rng, shape):
 
 def test_norms_fuzz_exits_0_or_rejects_in_one_line(tmp_path, capsys):
     rng = np.random.default_rng(2024)
-    accepted = 0
+    accepted = vanished = 0
     for case in range(100):
         shape = sorted(config._PROFILES)[case % len(config._PROFILES)]
         doc = {"potential": _draw_potential(rng, shape), "truncation_index": 20}
@@ -105,11 +106,59 @@ def test_norms_fuzz_exits_0_or_rejects_in_one_line(tmp_path, capsys):
         captured = capsys.readouterr()
         if code == 0:
             accepted += 1
-            assert captured.err == "" and json.loads(captured.out)["l1lp"] >= 0, doc
+            payload = json.loads(captured.out)
+            assert captured.err == "" and payload["l1lp"] >= 0, doc
+            vanished += payload["epsilon_window"] is None
         else:
             assert code == 2 and captured.out == "", (code, captured.err, doc)
             assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1, doc
-    assert accepted >= 40
+    assert accepted >= 40 and vanished >= 1
+
+
+def test_norms_of_a_zero_potential(tmp_path, capsys):
+    doc = {"potential": {"family": "disk_well", "params": {"depth": 0.0, "radius": 1.0}}}
+    assert cli.main(["norms", "--config", write_config(tmp_path, doc)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    payload = json.loads(captured.out)
+    assert payload["epsilon_window"] is None and set(payload["zeta"]) == {0.0}
+    assert payload["quasinorm"] == payload["delta_upper"] == payload["delta_lower"] == 0.0
+    assert payload["bound_B"] == payload["weyl_coeff"] == 0.0
+
+
+def _fuzz_argv(rng, cfg):
+    """One count1d, count2d (pinned channels, full or --tilde) or decompose
+    request on a drawn config."""
+    alpha = ["--alpha", repr(0.0 if rng.random() < 0.1 else float(np.exp(rng.uniform(0, 4))))]
+    command = str(rng.choice(["count1d", "count2d", "count2d --tilde", "decompose"]))
+    if command == "count1d":
+        return ["count1d", "--config", cfg, *alpha] + (
+            ["--m", str(int(rng.integers(0, 4)))] if rng.random() < 0.5 else [])
+    if command == "decompose":
+        radii = np.sort(rng.uniform(0.1, 3.0, int(rng.integers(1, 5))))
+        return ["decompose", "--config", cfg, "--radii", ",".join(repr(float(r)) for r in radii)]
+    return command.split() + ["--config", cfg, *alpha, "--channels", str(int(rng.integers(0, 4)))]
+
+
+def test_count_and_decompose_fuzz_exit_in_one_line(tmp_path, capsys):
+    rng = np.random.default_rng(2025)
+    codes = {0: 0, 1: 0, 2: 0}
+    for case in range(80):
+        shape = sorted(config._PROFILES)[case % len(config._PROFILES)]
+        policy = {"t_half": float(rng.uniform(2.0, 4.0)), "n": int(rng.integers(21, 82)),
+                  "max_doublings": int(rng.integers(0, 2)), "agreements": 1}
+        doc = {"potential": _draw_potential(rng, shape), "grid_policy": policy}
+        argv = _fuzz_argv(rng, write_config(tmp_path, doc))
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code in codes, (code, argv, doc)
+        codes[code] += 1
+        if code == 0:
+            assert captured.err == "" and json.loads(captured.out), (argv, doc)
+        else:
+            assert captured.out == "" and captured.err.count("\n") == 1, (argv, doc)
+            assert captured.err.startswith(("config error: ", "computation error: ")), (argv, doc)
+    assert codes[0] >= 40
 
 
 def test_missing_config_exits_2(capsys):

@@ -174,6 +174,14 @@ def test_weak_norm_report_ordering():
         assert 0 < lo <= hi
 
 
+def test_weak_norm_report_of_a_zero_sequence():
+    rep = bc.weak_norm_report(np.zeros(21), 1.0)
+    assert (rep.quasinorm, rep.delta_upper, rep.delta_lower) == (0.0, 0.0, 0.0)
+    assert rep.epsilon_window is None
+    with pytest.raises(ValueError):
+        default_window(np.zeros(21))
+
+
 def test_default_window_tracks_tail():
     x = np.array([1.0 / j for j in range(1, 41)])
     lo, hi = default_window(x)

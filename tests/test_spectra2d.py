@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 import boundcount as bc
+from boundcount import spectra2d
 from boundcount.errors import MatrixSizeError
 from boundcount.potentials import PotentialSpec
 from boundcount.verify import dense_bs_count, random_fourier_spec
-from helpers import reference_angular_residual
+from helpers import (ReferenceSingularPivot, reference_angular_residual, reference_block_pass,
+                     reference_slice_blocks)
 
 
 def dense_pair(sys_, shift=0.0):
@@ -106,8 +108,8 @@ def test_single_mode_couples_neighbors_only():
     spec = bc.fourier_sum([(0, bc.gaussian_profile(1.0, 1.0), "cos"), (1, g, "cos")])
     grid = bc.Grid1D.symmetric(4.0, 41)
     sys_ = bc.assemble_full_2d(spec, 5.0, grid, channels=3)
-    R = sys_.angular_residual(sys_.chan_diag.shape[1] // 2)
-    chans = sys_.channels
+    R = sys_.angular_residual()[sys_.chan_diag.shape[1] // 2]
+    chans = sys_.channel_set.channels
     # mode-1 potential: only |m - m'| = 1 entries may be nonzero
     for a, (kind_a, m) in enumerate(chans):
         for b, (kind_b, n) in enumerate(chans):
@@ -133,10 +135,11 @@ def test_angular_residual_matches_per_pair_reference_bitwise():
         for _ in range(2):
             spec = random_trig_spec(rng, max(2 * m_max, 1))
             sys_ = bc.assemble_full_2d(spec, 6.0, grid, channels=m_max, max_dimension=10 ** 6)
+            residuals = sys_.angular_residual()
+            chans = sys_.channel_set.channels
             for i in range(sys_.chan_diag.shape[1]):
-                R = sys_.angular_residual(i)
-                ref = reference_angular_residual(sys_.channels, sys_.pmodes[i], sys_.qmodes[i])
-                assert R.tobytes() == ref.tobytes(), (m_max, i)
+                ref = reference_angular_residual(chans, sys_.pmodes[i], sys_.qmodes[i])
+                assert residuals[i].tobytes() == ref.tobytes(), (m_max, i)
 
 
 def test_potential_form_matches_per_pair_reference():
@@ -312,6 +315,125 @@ def test_block_sweep_retries_an_exactly_singular_pivot_at_the_shift(caplog):
     chan_diag[:, 0] = [bc.spectra1d.ZERO_PIVOT_SHIFT, 1.5e3, -0.5]
     with pytest.raises(bc.NumericalError):
         bc.count_full_2d(sys_)
+
+
+def test_gathered_blocks_match_reference_slices_bytewise():
+    rng = np.random.default_rng(47)
+    grid = bc.Grid1D.symmetric(4.0, 31)
+    zero_mode_slices = 0
+    for m_max in range(9):
+        for _ in range(2):
+            spec = random_trig_spec(rng, max(2 * m_max, 1))
+            sys_ = bc.assemble_full_2d(spec, 6.0, grid, channels=m_max, max_dimension=10 ** 6)
+            if m_max:
+                modes = np.hstack((sys_.pmodes[:, 1:], sys_.qmodes[:, 1:]))
+                zero_mode_slices += int(np.sum(np.all(modes == 0.0, axis=1)))
+            for path in both_paths(sys_):
+                for shift in (0.0, bc.spectra1d.ZERO_PIVOT_SHIFT):
+                    got = path.blocks(shift)
+                    assert got.tobytes() == reference_slice_blocks(path, shift).tobytes()
+    # Gaussian modes underflow far out, so coupled systems have slices without residual
+    assert zero_mode_slices > 0
+    # any set of slices, in any order, as the block pass asks for them
+    sys_ = bc.assemble_full_2d(random_trig_spec(rng, 6), 6.0, bc.Grid1D.symmetric(3.0, 601),
+                               channels=3)
+    ref = reference_slice_blocks(sys_)
+    assert sys_.blocks().tobytes() == ref.tobytes()
+    for rows in (rng.permutation(599)[:100], np.array([598, 0, 299]), np.array([], int)):
+        assert sys_.blocks(slices=rows).tobytes() == ref[rows].tobytes()
+
+
+def test_block_pass_matches_reference_and_dense_on_every_grid_shape():
+    rng = np.random.default_rng(53)
+    grids = (bc.Grid1D.symmetric(4.0, 41),  # t = 0 in the middle: sides of equal length
+             bc.Grid1D(-4.0, 4.0, 40),      # no t = 0 node: one side
+             bc.Grid1D(-2.0, 5.0, 36),      # the right side longer
+             bc.Grid1D(-5.0, 2.0, 36))      # the left side longer
+    for grid in grids:
+        for _ in range(3):
+            spec = random_trig_spec(rng, 4)
+            alpha = float(np.exp(rng.uniform(np.log(2.0), np.log(60.0))))
+            sys_ = bc.assemble_full_2d(spec, alpha, grid, channels=2)
+            assert bc.count_full_2d(sys_) == reference_block_pass(sys_) == dense_pair(sys_)
+
+
+def spy_negatives(monkeypatch):
+    """Record (slice, negatives) for every pivot block counted by eigh."""
+    seen = []
+    negatives = spectra2d._negatives
+
+    def spy(w, where):
+        seen.append((int(where), int(np.count_nonzero(w < 0))))
+        return negatives(w, where)
+
+    monkeypatch.setattr(spectra2d, "_negatives", spy)
+    return seen
+
+
+def test_block_pass_falls_back_to_eigh_mid_pass(monkeypatch):
+    # a deep well inside the unit circle: at large alpha many pivots of the
+    # left side (t < 0) are indefinite while the right side's stay positive
+    spec = bc.fourier_sum([(0, bc.gaussian_profile(1.0, 0.5), "cos"),
+                           (1, bc.gaussian_profile(0.4, 0.5), "cos")])
+    grid = bc.Grid1D.symmetric(4.0, 41)
+    sys_ = bc.assemble_full_2d(spec, 300.0, grid, channels=3)
+    seen = spy_negatives(monkeypatch)
+    got = bc.count_full_2d(sys_)
+    assert got == reference_block_pass(sys_) == dense_pair(sys_)
+    n_int, zero = sys_.chan_diag.shape[1], grid.zero_index
+    steps = dict(seen[:-2])  # the t = 0 slice is counted last, twice
+    assert 0 < len(steps) < n_int - 1
+    assert any(0 < i < zero - 1 for i in steps)
+    # stacked steps where one side has negatives and the other none
+    assert any(steps[i] > 0 and steps[n_int - 1 - i] == 0 for i in steps if i < zero)
+
+
+def pivot_system(first, final):
+    """A coupled system on five slices whose first and final slices are
+    diagonal, with these entries; the three between carry random modes."""
+    rng = np.random.default_rng(59)
+    chan_diag = rng.uniform(1.0, 3.0, (3, 5))
+    chan_diag[:, 0], chan_diag[:, 4] = first, final
+    pmodes, qmodes = rng.uniform(-0.3, 0.3, (2, 5, 3))
+    pmodes[:, 0] = 0.0
+    pmodes[[0, 4]] = qmodes[[0, 4]] = 0.0
+    return bc.BlockSystem2D(grid=bc.Grid1D.symmetric(2.0, 7), channel_set=bc.ChannelSet(1),
+                            alpha=2.0, chan_diag=chan_diag, pmodes=pmodes, qmodes=qmodes,
+                            is_block_diagonal=False)
+
+
+@pytest.mark.parametrize("first, final", [([1.0, 3e-13, 2.0], [2.0, 3.0, 4.0]),
+                                          ([2.0, 3.0, 4.0], [1.0, 3e-13, 2.0])])
+def test_ill_conditioned_positive_pivot_goes_through_eigh(monkeypatch, caplog, first, final):
+    # condition number 2 / 3e-13 ~ 7e12 on either side: Cholesky factors the
+    # first step's stack, but the condition bound leaves it to eigh, whose
+    # guard passes it
+    sys_ = pivot_system(first, final)
+    np.linalg.cholesky(sys_.blocks()[[0, 4]])
+    seen = spy_negatives(monkeypatch)
+    with caplog.at_level("WARNING", logger="boundcount.spectra2d"):
+        got = bc.count_full_2d(sys_)
+    assert "retrying" not in caplog.text
+    assert seen[:2] == [(0, 0), (4, 0)]
+    assert got == reference_block_pass(sys_) == dense_pair(sys_)
+
+
+def test_nearly_singular_positive_pivot_still_retries_at_the_shift(caplog):
+    # condition number 2 / 1.5e-14 >= 1e14: Cholesky factors it, the guard stops on it
+    sys_ = pivot_system([1.0, 1.5e-14, 2.0], [2.0, 3.0, 4.0])
+    np.linalg.cholesky(sys_.blocks()[[0, 4]])
+    with caplog.at_level("WARNING", logger="boundcount.spectra2d"):
+        got = bc.count_full_2d(sys_)
+    assert "retrying with shift" in caplog.text
+    shift = bc.spectra1d.ZERO_PIVOT_SHIFT
+    assert got == reference_block_pass(sys_) == dense_pair(sys_, shift=shift)
+    # the shift lifts slice 0 and makes the final slice nearly singular instead
+    sys_ = pivot_system([1.0, 1.5e-14, 2.0], [2.0, shift + 1.5e-14, 4.0])
+    np.linalg.cholesky(sys_.blocks(shift)[[0, 4]])
+    with pytest.raises(bc.NumericalError):
+        bc.count_full_2d(sys_)
+    with pytest.raises(ReferenceSingularPivot):
+        reference_block_pass(sys_)
 
 
 def test_radial_consistency_exact():
