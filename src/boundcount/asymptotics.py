@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .potentials import EffectivePotential, PotentialSpec, decompose, effective_potential
 from .seminorms import bound_functional, weak_quasinorm, weyl_coefficient, zhat
 from .spectra1d import Grid1D, GridPolicy, certified_counts, count_M, radial_counts
@@ -268,35 +269,75 @@ def write_sweep_csv(result: SweepResult, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+# what each metadata value and data field of a sweep CSV must be
+_META_RULES = {"weyl": (math.isfinite, "finite"),
+               "bound_b": (lambda v: 0 <= v < math.inf, "finite and >= 0"),
+               "p": (lambda v: 1 < v < math.inf, "finite and > 1")}
+_FIELDS = (("alpha", float, lambda v: 0 < v < math.inf, "finite and > 0"),
+           ("n2d", int, lambda v: v >= 0, "an integer >= 0"),
+           ("n_tilde", int, lambda v: v >= 0, "an integer >= 0"),
+           ("n_m", int, lambda v: v >= 0, "an integer >= 0"),
+           ("n2d_over_alpha", float, math.isfinite, "finite"),
+           ("converged", int, lambda v: v in (0, 1), "0 or 1"))
+
+
 def read_sweep_csv(path) -> SweepResult:
-    meta = {"label": "sweep", "weyl": math.nan, "bound_b": math.nan, "p": 2.0}
+    """Read a CSV written by ``write_sweep_csv``.  A malformed file raises
+    ConfigError naming the file and the line: a row without six fields or
+    with a value out of its rule (_FIELDS), a missing or bad weyl, bound_b
+    or p line, alphas that do not strictly increase, or no rows at all."""
+    meta = {"label": "sweep"}
     rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, val = line[1:].strip().partition("=")
-                if key in ("weyl", "bound_b", "p"):
-                    meta[key] = float(val)
-                elif key == "label":
-                    meta[key] = val
-                continue
-            if line.startswith("alpha,"):
-                continue
-            parts = line.split(",")
-            rows.append((float(parts[0]), int(parts[1]), int(parts[2]),
-                         int(parts[3]), bool(int(parts[5]))))
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not a text file ({exc.reason})") from exc
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("alpha,"):
+            continue
+        if line.startswith("#"):
+            key, _, val = line[1:].strip().partition("=")
+            if key in _META_RULES:
+                accepts, rule = _META_RULES[key]
+                meta[key] = _parse_value(val, float, accepts, f"{key} (must be {rule})",
+                                         path, lineno)
+            elif key == "label":
+                meta[key] = val
+            continue
+        parts = line.split(",")
+        if len(parts) != len(_FIELDS):
+            raise ConfigError(f"{path}:{lineno}: expected {len(_FIELDS)} fields "
+                              f"({','.join(name for name, *_ in _FIELDS)}), got {len(parts)}")
+        row = [_parse_value(text, kind, accepts, f"{name} (must be {rule})", path, lineno)
+               for text, (name, kind, accepts, rule) in zip(parts, _FIELDS)]
+        if rows and not row[0] > rows[-1][0]:
+            raise ConfigError(f"{path}:{lineno}: alpha {row[0]!r} does not increase "
+                              f"(previous {rows[-1][0]!r})")
+        rows.append(row)
     if not rows:
-        raise ValueError(f"{path}: no sweep rows found")
+        raise ConfigError(f"{path}: no sweep rows found")
+    missing = [key for key in _META_RULES if key not in meta]
+    if missing:
+        raise ConfigError(f"{path}: no '# {missing[0]}=' line")
+    alphas, n2d, n_tilde, n_m, _, converged = zip(*rows)
     return SweepResult(
-        alphas=np.array([r[0] for r in rows]),
-        n2d=np.array([r[1] for r in rows], dtype=np.int64),
-        n_tilde=np.array([r[2] for r in rows], dtype=np.int64),
-        n_m=np.array([r[3] for r in rows], dtype=np.int64),
-        converged=np.array([r[4] for r in rows], dtype=bool),
+        alphas=np.array(alphas), n2d=np.array(n2d, dtype=np.int64),
+        n_tilde=np.array(n_tilde, dtype=np.int64), n_m=np.array(n_m, dtype=np.int64),
+        converged=np.array(converged, dtype=bool),
         weyl=meta["weyl"], bound_b=meta["bound_b"], p=meta["p"], label=meta["label"])
+
+
+def _parse_value(text: str, kind: type, accepts, what: str, path, lineno: int):
+    """``text`` as a ``kind`` that ``accepts`` allows, or ConfigError naming ``what``."""
+    try:
+        value = kind(text)
+    except ValueError:
+        value = None
+    if value is None or not accepts(value):
+        raise ConfigError(f"{path}:{lineno}: bad {what}: {text.strip()!r}")
+    return value
 
 
 def write_plot_files(result: SweepResult, directory) -> list:

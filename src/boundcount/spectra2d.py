@@ -10,11 +10,22 @@ Schur-complement recursion (the block analogue of the Sturm sweep).  A pivot
 block D that Cholesky factors counts 0 without eigh if ||D||_1 ||D^-1||_1 <
 CONDITION_LIMIT: that bounds kappa_2(D), keeping D clear of the singular guard.
 
+Where the potential has underflowed to zero, a run of end slices without
+residual and with one diagonal is a free tail: its pivots are diagonal,
+s_{j+1} = d - e^2 / s_j with e = 1/h^2, one vector step a slice, each
+checked by the same singular guard as an eigh pivot.  The rest of each side
+is eliminated by two chains that meet at its middle slice: one from the
+tail's edge, one from the t = 0 slice's neighbour, which carries F, the
+t = 0 slice's coupling to its current slice (F_1 = -e I, F_{k+1} = e F_k X_k
+for the pivot inverses X_k; each adds -F X F^T to the t = 0 block).
+
 The constrained operator H~ deletes the t = 0 node of the constant channel,
 which is the discrete form of the mean-zero condition int u(1, theta)
 dtheta = 0; removing that single row restores the full operator, hence
 the rank-one sandwich count_tilde <= count_full <= count_tilde + 1.  One
-block pass, which factors the t = 0 slice last, gives both counts.
+block pass, which factors the t = 0 slice last, gives both counts: every
+earlier step is a Schur complement onto that slice, so deleting its constant
+row at the end is exact.
 """
 
 from __future__ import annotations
@@ -235,12 +246,15 @@ class _SingularPivot(Exception):
     pass
 
 
-def _negatives(w: np.ndarray, where: int) -> int:
-    """Negative count of a pivot block with eigenvalues ``w``; a nearly
-    singular block raises _SingularPivot (an empty one counts 0)."""
-    wmax = float(np.max(np.abs(w), initial=0.0))
-    if w.size and (wmax == 0.0 or float(np.min(np.abs(w))) <= 1e-14 * wmax):
-        raise _SingularPivot(f"near-singular pivot block at slice {where}")
+def _negatives(w: np.ndarray, where: Sequence[int]) -> int:
+    """Negative count of a stack of pivot blocks with eigenvalues ``w`` [n, B]
+    (a diagonal pivot's own entries); a nearly singular block raises
+    _SingularPivot naming its slice ``where[i]`` (an empty one counts 0)."""
+    a = np.abs(w)
+    wmax = a.max(-1, initial=0.0)
+    near = (wmax == 0.0) | (a.min(-1, initial=np.inf) <= 1e-14 * wmax)
+    if w.shape[-1] and near.any():
+        raise _SingularPivot(f"near-singular pivot block at slice {where[int(np.argmax(near))]}")
     return int(np.count_nonzero(w < 0))
 
 
@@ -265,41 +279,145 @@ def _pivot_inverses(D: np.ndarray, where: np.ndarray) -> tuple[int, np.ndarray]:
     except np.linalg.LinAlgError:
         pass
     else:
-        if np.all(np.linalg.norm(D, 1, (1, 2)) * np.linalg.norm(inv, 1, (1, 2)) < CONDITION_LIMIT):
+        if np.all(np.abs(D).sum(-2).max(-1) * np.abs(inv).sum(-2).max(-1) < CONDITION_LIMIT):
             return 0, inv
     w, U = np.linalg.eigh(D)
-    return sum(map(_negatives, w, where)), (U / w[:, None, :]) @ np.swapaxes(U, 1, 2)
+    return _negatives(w, where), (U / w[:, None, :]) @ np.swapaxes(U, 1, 2)
+
+
+def _free_tail(sys: BlockSystem2D, side: np.ndarray) -> int:
+    """Length of the free tail of a side (slice indices from its outer end
+    inward): the run of slices from that end without residual whose
+    ``chan_diag`` column equals the end slice's."""
+    free = ~np.any(np.hstack((sys.pmodes[side, 1:], sys.qmodes[side, 1:])), 1)
+    free &= np.all(sys.chan_diag[:, side] == sys.chan_diag[:, side[:1]], 0)
+    return side.size if free.all() else int(np.argmin(free))
+
+
+def _tail_inverse(d: np.ndarray, esq: float, where: np.ndarray) -> tuple[int, np.ndarray]:
+    """(negatives, last pivot's inverse) of a free tail whose slices all have
+    the diagonal block diag(d): its pivots are diagonal, s_1 = d and
+    s_{j+1} = d - esq / s_j, and each goes through the guard of _negatives."""
+    s = np.empty((where.size, d.size))
+    s[0] = d
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for j in range(1, where.size):  # past an exact zero the guard below stops the pass
+            s[j] = d - esq / s[j - 1]
+    negatives = _negatives(s, where)
+    return negatives, 1.0 / s[-1]
+
+
+def _step_blocks(sys: BlockSystem2D, shift: float, order: np.ndarray, sizes: list[int]):
+    """The pivot blocks of each step of an elimination order (``sizes`` slices
+    a step), gathered whole steps at a time, up to GATHER_SLICES slices a
+    gather (a larger step is gathered alone)."""
+    bounds = [0, *np.cumsum(sizes).tolist()]
+    first = 0
+    while first < len(sizes):
+        last = first + 1
+        while last < len(sizes) and bounds[last + 1] - bounds[first] <= GATHER_SLICES:
+            last += 1
+        D = sys.blocks(shift, order[bounds[first]:bounds[last]])
+        yield from np.split(D, np.subtract(bounds[first + 1:last], bounds[first]))
+        first = last
 
 
 def _count_block_tridiagonal(sys: BlockSystem2D, shift: float = 0.0) -> tuple[int, int | None]:
     """Block Schur-complement sweep: the inertia of the block-tridiagonal
     matrix is the sum of the inertias of its pivot blocks, in any
-    elimination order.  Slices go from both ends toward the t = 0 slice, the
-    two sides stacked into one LAPACK call a step, and that slice is factored
-    last: whole for N_-(H), without its constant channel (a row no other pivot
-    reads) for N_-(H~); without a t = 0 node the sweep ends at the last slice.
-    Positive-definite pivots with ||D||_1 ||D^-1||_1 < CONDITION_LIMIT skip
-    eigh: that product bounds kappa_2(D), so the guard could not stop on them."""
-    esq = (1.0 / sys.grid.h ** 2) ** 2
+    elimination order.  Both sides of the separator slice c (the t = 0
+    slice, or the last slice without a t = 0 node) are eliminated onto c,
+    which is factored last: whole for N_-(H), without its constant channel
+    for N_-(H~).  Every earlier step is a Schur complement onto c, and c's
+    constant row is part of no other pivot, so deleting it at the end is
+    exact.
+
+    A side's free tail (see _free_tail) is eliminated by the scalar
+    recurrence of _tail_inverse.  The rest of a side, of three slices or
+    more, is eliminated by two chains meeting at its middle slice m: the
+    outer one from the tail's edge, starting from the tail's inverse, and
+    the inner one from c's neighbour, which carries F, c's coupling to its
+    current slice (F_1 = -e I with e = 1/h^2; a pivot with inverse X adds
+    -F X F^T to c's block and turns F into e F X).  m's pivot T = D_m - e^2
+    X_outer - e^2 X_inner goes through eigh and adds -F T^-1 F^T to c.  A
+    shorter side keeps one chain, and a side that is all tail hands its
+    inverse straight to c.  The chains of both sides step together, one
+    stacked LAPACK call a step; positive-definite stacks with ||D||_1
+    ||D^-1||_1 < CONDITION_LIMIT skip eigh: that product bounds kappa_2(D),
+    so the guard could not stop on them."""
+    e = 1.0 / sys.grid.h ** 2
+    esq = e * e
     n_int, B = sys.chan_diag.shape[1], sys.channel_set.size
     zero = sys.grid.zero_index
-    last = n_int - 1 if zero is None else zero
-    ons = [slice(0 if k < last else 1, 2 if k < n_int - 1 - last else 1)
-           for k in range(max(last, n_int - 1 - last))]
-    steps = [np.array((k, n_int - 1 - k))[on] for k, on in enumerate(ons)]
-    order = np.concatenate(steps + [np.array([last])])
-    blocks = (D for start in range(0, order.size, GATHER_SLICES)
-              for D in sys.blocks(shift, order[start:start + GATHER_SLICES]))
-    # the inverse before each side's first slice is zero: it subtracts exactly nothing
-    inv, total = np.zeros((2, B, B)), 0
-    for on, idx in zip(ons, steps):
-        D = np.array([next(blocks) for _ in idx])
-        negatives, inv[on] = _pivot_inverses(D - esq * inv[on], idx)
+    c = n_int - 1 if zero is None else zero
+    total = 0
+    lost = np.zeros((B, B))  # what eliminating both sides takes from c's block
+    plans = []  # (side past its free tail, e^2 x its starting inverse, outer chain's length)
+    for side in (np.arange(c), np.arange(n_int - 1, c, -1)):
+        if not side.size:
+            continue
+        tail = _free_tail(sys, side)
+        start = np.zeros((B, B))
+        if tail:
+            negatives, inverse = _tail_inverse(sys.chan_diag[:, side[0]] - shift, esq,
+                                               side[:tail])
+            total += negatives
+            start = np.diag(esq * inverse)
+        rest = side[tail:]
+        if rest.size:
+            plans.append((rest, start, rest.size // 2 if rest.size > 2 else rest.size))
+        else:
+            lost += start
+    # longest chains first, so that the chains still running are prefixes
+    plans.sort(key=lambda plan: (plan[2], plan[0].size), reverse=True)
+    outer, inner, ends, meets = [], [], [], []  # meets: (slice, its outer chain, its inner chain)
+    for rest, _, mid in plans:
+        outer.append(rest[:mid])
+        if mid == rest.size:
+            ends.append(len(outer) - 1)
+        else:
+            meets.append((rest[mid], len(outer) - 1, len(inner)))
+            inner.append(rest[:mid:-1])
+    # step k eliminates slice k of every chain that long, outer chains first
+    chains = np.full((len(outer) + len(inner), max((o.size for o in outer), default=0)), -1)
+    for row, chain in zip(chains, outer + inner):
+        row[:chain.size] = chain
+    running = chains.T >= 0
+    order = np.concatenate((chains.T[running], [m for m, _, _ in meets] + [c]))
+    sizes = running.sum(1).tolist() + [len(meets) + 1]
+    # e^2 X for the last pivot of each outer and inner chain; F and the sum of
+    # F X F^T (what c loses) of each inner chain
+    Xo = np.array([start for _, start, _ in plans]).reshape(-1, B, B)
+    Xi = np.zeros((len(inner), B, B))
+    F = np.tile(-e * np.eye(B), (len(inner), 1, 1))
+    FXF = np.zeros_like(Xi)
+    blocks = _step_blocks(sys, shift, order, sizes)
+    at = 0
+    for size, a, D in zip(sizes, running[:, :len(outer)].sum(1).tolist(), blocks):
+        idx, b = order[at:at + size], size - a
+        at += size
+        D[:a] -= Xo[:a]
+        D[a:] -= Xi[:b]
+        negatives, inv = _pivot_inverses(D, idx)
         total += negatives
-    D_last = next(blocks) - esq * inv[0] - esq * inv[1]
-    full = total + _negatives(np.linalg.eigvalsh(D_last), last)
+        np.multiply(inv[:a], esq, out=Xo[:a])
+        if b:
+            np.multiply(inv[a:], esq, out=Xi[:b])
+            G = F[:b] @ inv[a:]
+            FXF[:b] += G @ np.swapaxes(F[:b], 1, 2)
+            np.multiply(G, e, out=F[:b])
+    D = next(blocks)
+    lost += np.sum(Xo[ends], 0) + np.sum(FXF, 0)
+    if meets:
+        where, jo, ji = (list(column) for column in zip(*meets))
+        w, U = np.linalg.eigh(D[:-1] - Xo[jo] - Xi[ji])
+        total += _negatives(w, where)
+        Z = F[ji] @ U
+        lost += np.sum((Z / w[:, None, :]) @ np.swapaxes(Z, 1, 2), 0)
+    D_c = D[-1] - lost
+    full = total + _negatives(np.linalg.eigvalsh(D_c)[None], [c])
     return full, None if zero is None else total + _negatives(
-        np.linalg.eigvalsh(D_last[1:, 1:]), last)
+        np.linalg.eigvalsh(D_c[1:, 1:])[None], [c])
 
 
 def count_full_2d(sys: BlockSystem2D) -> tuple[int, int | None]:

@@ -349,6 +349,146 @@ def test_unreadable_in_exits_2(tmp_path, capsys):
     assert err == f"config error: cannot use --in {missing}: No such file or directory\n"
 
 
+SWEEP_LINES = ["# label=test", "# weyl=0.25", "# bound_b=1.5", "# p=2.0",
+               "alpha,n2d,n_tilde,n_m,n2d_over_alpha,converged",
+               "10.0,3,2,1,0.3,1", "20.0,6,5,2,0.3,1", "40.0,11,10,3,0.275,0"]
+
+
+@pytest.mark.parametrize("line, text, lineno, message", [
+    (6, "1.0,2,1", 6, "expected 6 fields (alpha,n2d,n_tilde,n_m,n2d_over_alpha,converged), got 3"),
+    (7, "20.0,6,5,2,0.3,1,7", 7, "expected 6 fields"),
+    (7, "20.0,6,x,2,0.3,1", 7, "bad n_tilde (must be an integer >= 0): 'x'"),
+    (7, "20.0,6.5,5,2,0.3,1", 7, "bad n2d (must be an integer >= 0): '6.5'"),
+    (7, "20.0,6,5,2,nan,1", 7, "bad n2d_over_alpha (must be finite): 'nan'"),
+    (7, "inf,6,5,2,0.3,1", 7, "bad alpha (must be finite and > 0): 'inf'"),
+    (7, "20.0,6,5,2,0.3,2", 7, "bad converged (must be 0 or 1): '2'"),
+    (2, "# weyl=abc", 2, "bad weyl (must be finite): 'abc'"),
+    (3, "# bound_b=-1", 3, "bad bound_b (must be finite and >= 0): '-1'"),
+    (4, "# p=1e999", 4, "bad p (must be finite and > 1): '1e999'"),
+    (8, "15.0,11,10,3,0.275,0", 8, "alpha 15.0 does not increase (previous 20.0)"),
+    (2, "# wyl=0.25", None, "no '# weyl=' line"),
+    (6, "", None, None),  # rows with a line between them still read
+])
+def test_report_names_the_line_of_a_malformed_sweep_csv(tmp_path, capsys, line, text, lineno,
+                                                        message):
+    lines = list(SWEEP_LINES)
+    lines[line - 1] = text
+    path = tmp_path / "sweep.csv"
+    path.write_text("\n".join(lines) + "\n")
+    code = cli.main(["report", "--in", str(path), "--check", "as2"])
+    captured = capsys.readouterr()
+    if message is None:
+        assert code == 0 and captured.err == ""
+        return
+    where = f"{path}:{lineno}" if lineno else f"{path}"
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"config error: {where}: {message}")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["", "# weyl=0.25\nalpha,n2d,n_tilde,n_m,n2d_over_alpha,converged\n"])
+def test_report_on_a_sweep_csv_without_rows_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "sweep.csv"
+    path.write_text(text)
+    assert cli.main(["report", "--in", str(path), "--check", "estim"]) == 2
+    assert capsys.readouterr().err == f"config error: {path}: no sweep rows found\n"
+
+
+def test_report_on_a_binary_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "sweep.csv"
+    path.write_bytes(b"# weyl=0.25\n\xff\xfe\x00\n")
+    assert cli.main(["report", "--in", str(path), "--check", "as2"]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {path}: not a text file")
+
+
+# what a corrupted number or metadata value becomes
+_GARBLE = ["", "x", "nan", "inf", "-inf", "1e999", "-1", "1.5", "0x1f", "1,2", "--", "2 3"]
+
+
+def _corrupt_sweep_csv(rng, text):
+    """``text`` with one corruption drawn: a row loses or gains a field, a
+    number or a metadata line is garbled, the rows are permuted, the text is
+    truncated, or emptied."""
+    lines = text.splitlines()
+    rows = [i for i, line in enumerate(lines) if line[:1].isdigit()]
+    how = str(rng.choice(["drop", "add", "number", "meta", "permute", "truncate", "empty"]))
+    if how in ("drop", "add", "number"):
+        i = int(rng.choice(rows))
+        fields = lines[i].split(",")
+        k = int(rng.integers(len(fields)))
+        if how == "drop":
+            del fields[k]
+        elif how == "add":
+            fields.insert(k, str(rng.choice(["0", "1.5", "x"])))
+        else:
+            fields[k] = str(rng.choice(_GARBLE))
+        lines[i] = ",".join(fields)
+    elif how == "meta":
+        i = int(rng.integers(4))
+        key, _, value = lines[i].partition("=")
+        lines[i] = (f"{key}={rng.choice(_GARBLE)}" if rng.random() < 0.7
+                    else f"{key[:-1]}={value}")
+    elif how == "permute":
+        lines[rows[0]:] = [lines[i] for i in rng.permutation(rows)]
+    text = "\n".join(lines) + "\n"
+    if how == "truncate":
+        text = text[:int(rng.integers(len(text)))]
+    return "" if how == "empty" else text
+
+
+def test_report_fuzz_exits_0_or_rejects_in_one_line(tmp_path, capsys):
+    rng = np.random.default_rng(2026)
+    codes = {0: 0, 2: 0}
+    for case in range(60):
+        alphas = np.geomspace(5.0, 5.0 * float(rng.uniform(5, 50)), int(rng.integers(1, 9)))
+        n2d = np.maximum.accumulate(rng.integers(0, 4, alphas.size)).cumsum()
+        result = bc.SweepResult(alphas=alphas, n2d=n2d, n_tilde=np.maximum(n2d - 1, 0),
+                                n_m=n2d // 3, converged=rng.random(alphas.size) < 0.8,
+                                weyl=float(rng.uniform(0.1, 1.0)),
+                                bound_b=float(rng.uniform(0.5, 2.0)), p=2.0, label="fuzz")
+        path = tmp_path / f"sweep{case}.csv"
+        bc.write_sweep_csv(result, path)
+        path.write_text(_corrupt_sweep_csv(rng, path.read_text()))
+        for check in ("as2", "estim", "prop-add"):
+            code = cli.main(["report", "--in", str(path), "--check", check])
+            captured = capsys.readouterr()
+            assert code in codes, (code, captured.err, path.read_text())
+            codes[code] += 1
+            if code == 0:
+                assert captured.err == "" and json.loads(captured.out)
+            else:
+                assert captured.out == "" and captured.err.count("\n") == 1, captured.err
+                assert captured.err.startswith(f"config error: {path}"), captured.err
+    assert codes[0] >= 12 and codes[2] >= 120
+
+
+def test_sweep_fuzz_exits_in_one_line(tmp_path, capsys):
+    rng = np.random.default_rng(2027)
+    codes = {0: 0, 1: 0, 2: 0}
+    for case in range(30):
+        shape = sorted(config._PROFILES)[case % len(config._PROFILES)]
+        policy = {"t_half": float(rng.uniform(2.0, 4.0)), "n": int(rng.integers(21, 42)),
+                  "max_doublings": int(rng.integers(0, 2)), "agreements": 1}
+        doc = {"potential": _draw_potential(rng, shape), "grid_policy": policy,
+               "truncation_index": 10}
+        lo = float(np.exp(rng.uniform(0.0, 3.0)))
+        out = tmp_path / f"sweep{case}.csv"
+        argv = ["sweep", "--config", write_config(tmp_path, doc), "--out", str(out),
+                "--alpha-min", repr(lo), "--alpha-max", repr(lo * float(rng.uniform(1.5, 8.0))),
+                "--points", str(int(rng.integers(4, 7)))]
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code in codes and captured.out == "", (code, captured.err, doc)
+        codes[code] += 1
+        if code == 0:
+            assert captured.err == ""
+            assert bc.read_sweep_csv(out).alphas.size == int(argv[-1])
+        else:
+            assert captured.err.count("\n") == 1, (captured.err, doc)
+            assert captured.err.startswith(("config error: ", "computation error: ")), doc
+    assert codes[0] >= 12
+
+
 def test_unwritable_out_exits_2_before_computing(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, DISK_CONFIG)
     monkeypatch.setattr(cli, "sweep", lambda *args, **kwargs: pytest.fail("sweep ran"))

@@ -11,8 +11,8 @@ from boundcount import spectra2d
 from boundcount.errors import MatrixSizeError
 from boundcount.potentials import PotentialSpec
 from boundcount.verify import dense_bs_count, random_fourier_spec
-from helpers import (ReferenceSingularPivot, reference_angular_residual, reference_block_pass,
-                     reference_slice_blocks)
+from helpers import (ReferenceSingularPivot, _reference_block_sweep, reference_angular_residual,
+                     reference_block_pass, reference_slice_blocks)
 
 
 def dense_pair(sys_, shift=0.0):
@@ -357,13 +357,59 @@ def test_block_pass_matches_reference_and_dense_on_every_grid_shape():
             assert bc.count_full_2d(sys_) == reference_block_pass(sys_) == dense_pair(sys_)
 
 
+def tail_lengths(sys_):
+    """(slices, free-tail length) of each side of the separator slice: left
+    (t < 0, from the first slice), then right (from the last slice)."""
+    n_int, zero = sys_.chan_diag.shape[1], sys_.grid.zero_index
+    c = n_int - 1 if zero is None else zero
+    sides = (np.arange(c), np.arange(n_int - 1, c, -1))
+    return [(side.size, spectra2d._free_tail(sys_, side) if side.size else 0) for side in sides]
+
+
+def ring_spec(r_lo, r_hi):
+    """A ring well with a sin mode on a narrower ring: both vanish exactly
+    inside r_lo and outside r_hi, so slices there are free."""
+    return bc.fourier_sum([(0, bc.ring_profile(1.0, r_lo, r_hi), "cos"),
+                           (1, bc.ring_profile(0.4, 1.2 * r_lo, 0.75 * r_hi), "sin")])
+
+
+def gauss_spec(width):
+    return bc.fourier_sum([(0, bc.gaussian_profile(1.0, width), "cos"),
+                           (1, bc.gaussian_profile(0.5, width), "cos")])
+
+
+@pytest.mark.parametrize("spec, grid, want", [
+    # the Gaussian underflows far out: a free tail on the right side only
+    (gauss_spec(1.0), bc.Grid1D.symmetric(6.0, 61), [(29, 0), (29, 13)]),
+    # free inside r_lo and outside r_hi: tails on both sides
+    (ring_spec(0.5, 2.0), bc.Grid1D.symmetric(3.0, 41), [(19, 15), (19, 15)]),
+    # a wide Gaussian touches every slice: no tail
+    (gauss_spec(3.0), bc.Grid1D.symmetric(2.0, 31), [(14, 0), (14, 0)]),
+    # free on all of t < 0: the left side is all tail, the right side splits
+    (ring_spec(1.2, 2.0), bc.Grid1D.symmetric(3.0, 31), [(14, 14), (14, 11)]),
+    # sides of one, two and three slices
+    (gauss_spec(3.0), bc.Grid1D.symmetric(2.0, 5), [(1, 0), (1, 0)]),
+    (gauss_spec(3.0), bc.Grid1D.symmetric(2.0, 7), [(2, 0), (2, 0)]),
+    (gauss_spec(3.0), bc.Grid1D.symmetric(2.0, 9), [(3, 0), (3, 0)]),
+    # no t = 0 node: one side, ending at the last slice, with and without a tail
+    (ring_spec(0.5, 2.0), bc.Grid1D(-3.0, 3.0, 40), [(37, 14), (0, 0)]),
+    (gauss_spec(1.0), bc.Grid1D(-3.0, 5.0, 40), [(37, 0), (0, 0)]),
+])
+def test_block_pass_matches_reference_and_dense_on_every_tail_shape(spec, grid, want):
+    for alpha in (1.0, 30.0, 300.0, 3000.0):
+        sys_ = bc.assemble_full_2d(spec, alpha, grid, channels=2)
+        assert tail_lengths(sys_) == want
+        assert bc.count_full_2d(sys_) == reference_block_pass(sys_) == dense_pair(sys_), alpha
+
+
 def spy_negatives(monkeypatch):
-    """Record (slice, negatives) for every pivot block counted by eigh."""
+    """Record, per stack of pivots counted under the guard (eigh's
+    eigenvalues, or a free tail's diagonal pivots), its (slice, negatives)."""
     seen = []
     negatives = spectra2d._negatives
 
     def spy(w, where):
-        seen.append((int(where), int(np.count_nonzero(w < 0))))
+        seen.append([(int(i), int(np.count_nonzero(row < 0))) for i, row in zip(where, w)])
         return negatives(w, where)
 
     monkeypatch.setattr(spectra2d, "_negatives", spy)
@@ -371,8 +417,9 @@ def spy_negatives(monkeypatch):
 
 
 def test_block_pass_falls_back_to_eigh_mid_pass(monkeypatch):
-    # a deep well inside the unit circle: at large alpha many pivots of the
-    # left side (t < 0) are indefinite while the right side's stay positive
+    # a deep well inside the unit circle: at large alpha the pivots of the
+    # left side's inner chain (from the t = 0 slice outward) are indefinite
+    # while its outer chain's and the right side's stay positive
     spec = bc.fourier_sum([(0, bc.gaussian_profile(1.0, 0.5), "cos"),
                            (1, bc.gaussian_profile(0.4, 0.5), "cos")])
     grid = bc.Grid1D.symmetric(4.0, 41)
@@ -381,41 +428,71 @@ def test_block_pass_falls_back_to_eigh_mid_pass(monkeypatch):
     got = bc.count_full_2d(sys_)
     assert got == reference_block_pass(sys_) == dense_pair(sys_)
     n_int, zero = sys_.chan_diag.shape[1], grid.zero_index
-    steps = dict(seen[:-2])  # the t = 0 slice is counted last, twice
-    assert 0 < len(steps) < n_int - 1
-    assert any(0 < i < zero - 1 for i in steps)
-    # stacked steps where one side has negatives and the other none
-    assert any(steps[i] > 0 and steps[n_int - 1 - i] == 0 for i in steps if i < zero)
+    (_, left_tail), (_, right_tail) = tail_lengths(sys_)
+    assert left_tail == 0 < right_tail
+    # the right side's free tail first, under the tail guard; the t = 0
+    # slice last, whole and without its constant channel
+    *steps, meets, full, tilde = seen
+    assert steps.pop(0) == [(n_int - 1 - j, 0) for j in range(right_tail)]
+    assert full[0][0] == tilde[0][0] == zero
+    assert sorted(i for i, _ in meets) == [9, 26]  # the middle slice of each side
+    # of the 9 chain steps (the left side splits 9 + 1 + 9) some pass by
+    # Cholesky; stacked ones where one chain has negatives and another has
+    # none go through eigh
+    assert 0 < len(steps) < 9
+    assert any(max(k for _, k in step) > 0 and min(k for _, k in step) == 0 for step in steps)
 
 
-def pivot_system(first, final):
+def pivot_system(first, final, end_modes=0.0):
     """A coupled system on five slices whose first and final slices are
-    diagonal, with these entries; the three between carry random modes."""
+    diagonal, with these entries, up to modes of size ``end_modes``: without
+    those modes each is a free tail of one slice, with them the first pivot
+    of a chain.  The three slices between carry random modes."""
     rng = np.random.default_rng(59)
     chan_diag = rng.uniform(1.0, 3.0, (3, 5))
     chan_diag[:, 0], chan_diag[:, 4] = first, final
     pmodes, qmodes = rng.uniform(-0.3, 0.3, (2, 5, 3))
+    pmodes[[0, 4]] = qmodes[[0, 4]] = end_modes
     pmodes[:, 0] = 0.0
-    pmodes[[0, 4]] = qmodes[[0, 4]] = 0.0
     return bc.BlockSystem2D(grid=bc.Grid1D.symmetric(2.0, 7), channel_set=bc.ChannelSet(1),
                             alpha=2.0, chan_diag=chan_diag, pmodes=pmodes, qmodes=qmodes,
                             is_block_diagonal=False)
 
 
-@pytest.mark.parametrize("first, final", [([1.0, 3e-13, 2.0], [2.0, 3.0, 4.0]),
-                                          ([2.0, 3.0, 4.0], [1.0, 3e-13, 2.0])])
-def test_ill_conditioned_positive_pivot_goes_through_eigh(monkeypatch, caplog, first, final):
-    # condition number 2 / 3e-13 ~ 7e12 on either side: Cholesky factors the
-    # first step's stack, but the condition bound leaves it to eigh, whose
-    # guard passes it
-    sys_ = pivot_system(first, final)
-    np.linalg.cholesky(sys_.blocks()[[0, 4]])
+ILL_CONDITIONED_ENDS = pytest.mark.parametrize("first, final", [
+    ([1.0, 3e-13, 2.0], [2.0, 3.0, 4.0]), ([2.0, 3.0, 4.0], [1.0, 3e-13, 2.0])])
+
+
+def count_without_retry(monkeypatch, caplog, sys_):
+    """count_full_2d of ``sys_``, checked to need no retry, and the
+    (slice, negatives) of every stack of pivots it counted under the guard."""
     seen = spy_negatives(monkeypatch)
     with caplog.at_level("WARNING", logger="boundcount.spectra2d"):
         got = bc.count_full_2d(sys_)
     assert "retrying" not in caplog.text
-    assert seen[:2] == [(0, 0), (4, 0)]
     assert got == reference_block_pass(sys_) == dense_pair(sys_)
+    return seen
+
+
+@ILL_CONDITIONED_ENDS
+def test_ill_conditioned_positive_pivot_goes_through_eigh(monkeypatch, caplog, first, final):
+    # condition number 2 / 3e-13 ~ 7e12 on either side, as the first pivot of
+    # a chain: Cholesky factors the first step's stack, but the condition
+    # bound leaves it to eigh, whose guard passes it
+    sys_ = pivot_system(first, final, end_modes=1e-30)
+    assert tail_lengths(sys_) == [(2, 0), (2, 0)]
+    np.linalg.cholesky(sys_.blocks()[[0, 4]])
+    assert count_without_retry(monkeypatch, caplog, sys_)[0] == [(0, 0), (4, 0)]
+
+
+@ILL_CONDITIONED_ENDS
+def test_ill_conditioned_free_tail_pivot_passes_the_tail_guard(monkeypatch, caplog, first,
+                                                              final):
+    # the same pivots without modes: each end slice is a free tail of one
+    # slice, whose diagonal pivot the tail guard passes
+    sys_ = pivot_system(first, final)
+    assert tail_lengths(sys_) == [(2, 1), (2, 1)]
+    assert count_without_retry(monkeypatch, caplog, sys_)[:2] == [[(0, 0)], [(4, 0)]]
 
 
 def test_nearly_singular_positive_pivot_still_retries_at_the_shift(caplog):
@@ -434,6 +511,63 @@ def test_nearly_singular_positive_pivot_still_retries_at_the_shift(caplog):
         bc.count_full_2d(sys_)
     with pytest.raises(ReferenceSingularPivot):
         reference_block_pass(sys_)
+
+
+def test_free_tail_pivot_that_reaches_zero_retries_at_the_shift(caplog):
+    # h = 1/2, so e = 1/h^2 = 4, and a free tail of three slices whose
+    # constant channel has d = 4: s_1 = 4 and s_2 = 4 - 16 / 4 = 0 exactly,
+    # which the third tail pivot would divide by
+    rng = np.random.default_rng(67)
+    chan_diag = rng.uniform(5.0, 9.0, (3, 7))
+    chan_diag[:, :3] = [[4.0], [6.0], [7.0]]
+    pmodes, qmodes = rng.uniform(-0.3, 0.3, (2, 7, 3))
+    pmodes[:3] = qmodes[:3] = 0.0
+    pmodes[:, 0] = 0.0
+    sys_ = bc.BlockSystem2D(grid=bc.Grid1D.symmetric(2.0, 9), channel_set=bc.ChannelSet(1),
+                            alpha=2.0, chan_diag=chan_diag, pmodes=pmodes, qmodes=qmodes,
+                            is_block_diagonal=False)
+    assert tail_lengths(sys_) == [(3, 3), (3, 0)]
+    with caplog.at_level("WARNING", logger="boundcount.spectra2d"):
+        got = bc.count_full_2d(sys_)
+    assert "near-singular pivot block at slice 1; retrying with shift" in caplog.text
+    # the reference's own first sweep stops there too
+    with pytest.raises(ReferenceSingularPivot):
+        _reference_block_sweep(sys_, 0.0)
+    shift = bc.spectra1d.ZERO_PIVOT_SHIFT
+    assert got == reference_block_pass(sys_) == dense_pair(sys_, shift=shift)
+
+
+def inner_chain_system(left, right):
+    """A coupled system on nine slices, each side of four: an outer chain of
+    two, the middle slice, and an inner chain of one (slice 3 on the left,
+    5 on the right), whose diagonal blocks have these entries."""
+    rng = np.random.default_rng(61)
+    chan_diag = rng.uniform(1.0, 3.0, (3, 9))
+    chan_diag[:, 3], chan_diag[:, 5] = left, right
+    pmodes, qmodes = rng.uniform(-0.3, 0.3, (2, 9, 3))
+    pmodes[[3, 5]] = qmodes[[3, 5]] = 0.0
+    pmodes[:, 0] = 0.0
+    return bc.BlockSystem2D(grid=bc.Grid1D.symmetric(2.0, 11), channel_set=bc.ChannelSet(1),
+                            alpha=2.0, chan_diag=chan_diag, pmodes=pmodes, qmodes=qmodes,
+                            is_block_diagonal=False)
+
+
+def test_nearly_singular_inner_chain_pivot_retries_at_the_shift(caplog):
+    # the first pivot of an inner chain is the plain block of the t = 0
+    # slice's neighbour, here nearly singular.  The reference eliminates each
+    # side from its outer end, so it never factors that block alone: only
+    # the counts can be compared with it
+    shift = bc.spectra1d.ZERO_PIVOT_SHIFT
+    sys_ = inner_chain_system([1.0, 1.5e-14, 2.0], [2.0, 3.0, 4.0])
+    assert tail_lengths(sys_) == [(4, 0), (4, 0)]
+    with caplog.at_level("WARNING", logger="boundcount.spectra2d"):
+        got = bc.count_full_2d(sys_)
+    assert "near-singular pivot block at slice 3; retrying with shift" in caplog.text
+    assert got == reference_block_pass(sys_) == dense_pair(sys_, shift=shift)
+    # the shift lifts slice 3 and makes the right side's inner pivot singular
+    sys_ = inner_chain_system([1.0, 1.5e-14, 2.0], [2.0, shift, 4.0])
+    with pytest.raises(bc.NumericalError, match="at slice 5"):
+        bc.count_full_2d(sys_)
 
 
 def test_radial_consistency_exact():
