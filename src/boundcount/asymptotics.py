@@ -72,9 +72,10 @@ def sweep(spec: PotentialSpec, alpha_min: float, alpha_max: float, points: int,
     counts every alpha it still has to certify in one batched Sturm pass
     (``radial_counts``), so ``threads`` has no effect on radial specs.
     Non-radial ones go through the block systems with channel-cutoff
-    escalation, each block pass giving both N_-(H) and N_-(H~); each level
-    maps the alphas it still has to certify over one pool of ``threads``
-    worker threads kept for the whole sweep.  A non-converged alpha is
+    escalation, each block pass giving both N_-(H) and N_-(H~) and each
+    alpha's passes continued from one level to the next; each level maps the
+    alphas it still has to certify over one pool of ``threads`` worker
+    threads kept for the whole sweep.  A non-converged alpha is
     flagged, not fatal.
     """
     if not (0 < alpha_min < alpha_max):
@@ -89,11 +90,13 @@ def sweep(spec: PotentialSpec, alpha_min: float, alpha_max: float, points: int,
     bound_b = bound_functional(dec, G, p=p, J=J, n_theta=n_theta)
 
     cutoff_ok = np.ones(points, dtype=bool)
+    passes = {}  # per alpha still pending, its block passes, continued level by level
 
     def coupled(grid: Grid1D, i: int) -> tuple[int, int, int]:
         alpha = alphas[i]
         (n2d, _, ok_a), (n_tilde, _, ok_b) = count_2d_auto(
-            spec, alpha, grid, n_theta=n_theta, max_dimension=max_dimension)
+            spec, alpha, grid, n_theta=n_theta, max_dimension=max_dimension,
+            passes=passes[i])
         cutoff_ok[i] &= ok_a and ok_b
         return n2d, n_tilde, count_M(G, alpha, grid)
 
@@ -104,6 +107,8 @@ def sweep(spec: PotentialSpec, alpha_min: float, alpha_max: float, points: int,
         def level_counts(grid: Grid1D, pending: list) -> list:
             if spec.is_radial:
                 return radial_counts(G, alphas[pending], grid).tolist()
+            nonlocal passes
+            passes = {i: passes.get(i, {}) for i in pending}
             return list(mapper(lambda i: coupled(grid, i), pending))
 
         results = certified_counts(level_counts, points, policy)

@@ -183,18 +183,19 @@ def cmd_count2d(args) -> int:
     policy = config.grid_policy
     # one entry per certification level: (m_max, channel cutoff certified, dimension)
     levels = []
+    passes = {}  # each level continues the block passes of the level before
 
     def values(grid: Grid1D):
         if args.channels is None:
             count, m_used, ch_ok = count_2d_auto(
                 config.spec, args.alpha, grid, n_theta=config.angular_nodes,
-                max_dimension=config.max_dimension)[args.tilde]
+                max_dimension=config.max_dimension, passes=passes)[args.tilde]
         else:
             # pinned m_max: no cutoff escalation
             m_used, ch_ok = args.channels, True
             count = count_full_2d(assemble_full_2d(
                 config.spec, args.alpha, grid, ChannelSet(m_used), config.angular_nodes,
-                max_dimension=config.max_dimension))[args.tilde]
+                max_dimension=config.max_dimension), passes)[args.tilde]
         levels.append((m_used, ch_ok, system_dimension(m_used, grid, args.tilde)))
         return count
 
@@ -204,6 +205,8 @@ def cmd_count2d(args) -> int:
         "m_max_used": max(m for m, _, _ in levels),
         "dim": levels[-1][2],
         "converged": bool(result.converged and all(ok for _, ok, _ in levels)),
+        "levels": [dict(level, m_max=m, cutoff_certified=bool(ok)) for level, (m, ok, _)
+                   in zip(result.to_dict()["levels"], levels)],
         "tilde": bool(args.tilde),
         "alpha": args.alpha,
     }

@@ -46,7 +46,13 @@ class Grid1D:
 
     @property
     def nodes(self) -> np.ndarray:
-        return np.linspace(self.t_min, self.t_max, self.n)
+        """The n nodes, centred: (t_min + t_max) / 2 + (k - (n - 1) / 2) h.
+        Node k steps from the centre is then k h whatever the width, so a
+        domain-doubling level (same h, twice the half-width) holds the
+        previous level's nodes bit for bit, and a symmetric grid's t = 0 node
+        is exactly 0.0; a block pass carried from one level to the next
+        relies on both."""
+        return 0.5 * (self.t_min + self.t_max) + (np.arange(self.n) - 0.5 * (self.n - 1)) * self.h
 
     @property
     def interior(self) -> np.ndarray:

@@ -10,14 +10,17 @@ Schur-complement recursion (the block analogue of the Sturm sweep).  A pivot
 block D that Cholesky factors counts 0 without eigh if ||D||_1 ||D^-1||_1 <
 CONDITION_LIMIT: that bounds kappa_2(D), keeping D clear of the singular guard.
 
-Where the potential has underflowed to zero, a run of end slices without
-residual and with one diagonal is a free tail: its pivots are diagonal,
-s_{j+1} = d - e^2 / s_j with e = 1/h^2, one vector step a slice, each
-checked by the same singular guard as an eigh pivot.  The rest of each side
-is eliminated by two chains that meet at its middle slice: one from the
-tail's edge, one from the t = 0 slice's neighbour, which carries F, the
-t = 0 slice's coupling to its current slice (F_1 = -e I, F_{k+1} = e F_k X_k
-for the pivot inverses X_k; each adds -F X F^T to the t = 0 block).
+Each side of the t = 0 slice c is eliminated from c outward, and a pass
+keeps that state from one domain-doubling level to the next: the level grids
+nest bit for bit, so each level factors only the slices it adds.  An advance
+of a side is balanced: two chains run toward the middle of the new segment,
+one continuing the side's state (which carries F, c's coupling to its
+current slice: F_1 = -e I with e = 1/h^2, and F_{k+1} = e F_k X_k for the
+pivot inverses X_k, each adding -F X F^T to c's block), one from the
+segment's outer end.  Where the potential has underflowed to zero, a run of
+end slices without residual and with one diagonal is a free tail: its pivots
+are diagonal, s_{j+1} = d - e^2 / s_j, one vector step a slice, each checked
+by the same singular guard as an eigh pivot; the last live slice meets it.
 
 The constrained operator H~ deletes the t = 0 node of the constant channel,
 which is the discrete form of the mean-zero condition int u(1, theta)
@@ -270,6 +273,13 @@ def _count_block_diagonal(sys: BlockSystem2D) -> tuple[int, int | None]:
     return full, None if zero is None else full - int(counts[1]) + int(counts[0])
 
 
+def _eigh_inverses(D: np.ndarray, where: Sequence[int]) -> tuple[int, np.ndarray]:
+    """(negatives, inverses) of a stack of pivot blocks D by eigh, under the
+    guard of _negatives."""
+    w, U = np.linalg.eigh(D)
+    return _negatives(w, where), (U / w[:, None, :]) @ np.swapaxes(U, 1, 2)
+
+
 def _pivot_inverses(D: np.ndarray, where: np.ndarray) -> tuple[int, np.ndarray]:
     """(negatives, inverses) of a stack of pivot blocks D: 0 when Cholesky factors it and every
     ||D||_1 ||D^-1||_1 < CONDITION_LIMIT, otherwise eigh's count under the guard of _negatives."""
@@ -281,8 +291,7 @@ def _pivot_inverses(D: np.ndarray, where: np.ndarray) -> tuple[int, np.ndarray]:
     else:
         if np.all(np.abs(D).sum(-2).max(-1) * np.abs(inv).sum(-2).max(-1) < CONDITION_LIMIT):
             return 0, inv
-    w, U = np.linalg.eigh(D)
-    return _negatives(w, where), (U / w[:, None, :]) @ np.swapaxes(U, 1, 2)
+    return _eigh_inverses(D, where)
 
 
 def _free_tail(sys: BlockSystem2D, side: np.ndarray) -> int:
@@ -322,119 +331,234 @@ def _step_blocks(sys: BlockSystem2D, shift: float, order: np.ndarray, sizes: lis
         first = last
 
 
-def _count_block_tridiagonal(sys: BlockSystem2D, shift: float = 0.0) -> tuple[int, int | None]:
-    """Block Schur-complement sweep: the inertia of the block-tridiagonal
-    matrix is the sum of the inertias of its pivot blocks, in any
-    elimination order.  Both sides of the separator slice c (the t = 0
-    slice, or the last slice without a t = 0 node) are eliminated onto c,
-    which is factored last: whole for N_-(H), without its constant channel
-    for N_-(H~).  Every earlier step is a Schur complement onto c, and c's
-    constant row is part of no other pivot, so deleting it at the end is
-    exact.
+@dataclass
+class _Side:
+    """One side of the separator slice c once the slices at offsets 1..reach
+    from c are eliminated (offset k is the slice k steps from c): Y = e^2 X
+    for X the inverse of the Schur complement onto the slice at offset reach,
+    F the coupling of c to the slice at offset reach + 1, and lost, what
+    these slices took from c's block.  A Schur complement does not depend on
+    the order of elimination, so neither does this state, as long as the
+    slice at offset reach goes last."""
 
-    A side's free tail (see _free_tail) is eliminated by the scalar
-    recurrence of _tail_inverse.  The rest of a side, of three slices or
-    more, is eliminated by two chains meeting at its middle slice m: the
-    outer one from the tail's edge, starting from the tail's inverse, and
-    the inner one from c's neighbour, which carries F, c's coupling to its
-    current slice (F_1 = -e I with e = 1/h^2; a pivot with inverse X adds
-    -F X F^T to c's block and turns F into e F X).  m's pivot T = D_m - e^2
-    X_outer - e^2 X_inner goes through eigh and adds -F T^-1 F^T to c.  A
-    shorter side keeps one chain, and a side that is all tail hands its
-    inverse straight to c.  The chains of both sides step together, one
-    stacked LAPACK call a step; positive-definite stacks with ||D||_1
-    ||D^-1||_1 < CONDITION_LIMIT skip eigh: that product bounds kappa_2(D),
-    so the guard could not stop on them."""
+    reach: int
+    Y: np.ndarray
+    F: np.ndarray
+    lost: np.ndarray
+
+    @staticmethod
+    def fresh(reach: int, B: int, e: float) -> "_Side":
+        """Nothing eliminated beyond offset ``reach``: F is the plain coupling -e I."""
+        return _Side(reach, np.zeros((B, B)), -e * np.eye(B), np.zeros((B, B)))
+
+
+def _rows(sys: BlockSystem2D, at: list[int]) -> tuple[np.ndarray, ...]:
+    """What the pivot blocks of the slices ``at`` are built from."""
+    return sys.grid.interior[at], sys.chan_diag[:, at], sys.pmodes[at], sys.qmodes[at]
+
+
+@dataclass
+class _Carried:
+    """Both sides of c after one level (negatives: of every pivot they
+    eliminated), and the system's rows at c and at each side's reach."""
+
+    negatives: int
+    sides: list[_Side]
+    grid: Grid1D
+    alpha: float
+    rows: tuple
+
+    def continues(self, sys: BlockSystem2D, c: int) -> bool:
+        """Whether ``sys`` holds this state's slices unchanged: the same h
+        and coupling on a grid at least as wide, and the same rows, bit for
+        bit, at c and at each side's reach."""
+        old, grid = self.grid, sys.grid
+        reach = [side.reach for side in self.sides]
+        return (grid.h == old.h and sys.alpha == self.alpha
+                and grid.t_min <= old.t_min and grid.t_max >= old.t_max
+                and c - reach[0] >= 0 and c + reach[1] < sys.chan_diag.shape[1]
+                and all(np.array_equal(a, b) for a, b in
+                        zip(_rows(sys, [c - reach[0], c, c + reach[1]]), self.rows)))
+
+
+def _level_pass(sys: BlockSystem2D, shift: float,
+                carried: _Carried | None) -> tuple[int, int | None, _Carried | None]:
+    """(N_-(H), N_-(H~), the state to carry) of one system: see _BlockPass.
+
+    Each side of c is eliminated from c outward up to the slice before its
+    last live slice (the slices before its free tail), continuing
+    ``carried`` when it holds that side's first slices; the free tail goes
+    by the scalar recurrence of _tail_inverse, and the last live slice meets
+    it.  An advance of a side from offset r to offset t, beyond two slices,
+    takes t as a separator E: chain A continues the side's state from r + 1,
+    chain B starts at E's inner neighbour carrying E's coupling F_E = -e I,
+    and the two meet at the middle slice m, whose pivot T = D_m - Y_A - Y_B
+    goes through eigh.  c gains -F T^-1 F^T, E's block loses F_E T^-1 F_E^T,
+    and c couples to E through C = -F T^-1 F_E^T; E's pivot P then gives the
+    side's new state Y = e^2 P^-1, F = e C P^-1 and lost += C P^-1 C^T."""
     e = 1.0 / sys.grid.h ** 2
     esq = e * e
     n_int, B = sys.chan_diag.shape[1], sys.channel_set.size
     zero = sys.grid.zero_index
     c = n_int - 1 if zero is None else zero
     total = 0
-    lost = np.zeros((B, B))  # what eliminating both sides takes from c's block
-    plans = []  # (side past its free tail, e^2 x its starting inverse, outer chain's length)
-    for side in (np.arange(c), np.arange(n_int - 1, c, -1)):
-        if not side.size:
-            continue
-        tail = _free_tail(sys, side)
-        start = np.zeros((B, B))
+    lost = np.zeros((B, B))  # what the slices of both sides take from c's block
+    sides = (np.arange(c - 1, -1, -1), np.arange(c + 1, n_int))  # side[k - 1]: offset k
+    lives, tails = [], []
+    for side in sides:
+        outward = side[::-1]
+        tail = _free_tail(sys, outward) if side.size else 0
+        tails.append(None)
         if tail:
-            negatives, inverse = _tail_inverse(sys.chan_diag[:, side[0]] - shift, esq,
-                                               side[:tail])
+            negatives, inverse = _tail_inverse(sys.chan_diag[:, side[-1]] - shift, esq,
+                                               outward[:tail])
             total += negatives
-            start = np.diag(esq * inverse)
-        rest = side[tail:]
-        if rest.size:
-            plans.append((rest, start, rest.size // 2 if rest.size > 2 else rest.size))
-        else:
-            lost += start
-    # longest chains first, so that the chains still running are prefixes
-    plans.sort(key=lambda plan: (plan[2], plan[0].size), reverse=True)
-    outer, inner, ends, meets = [], [], [], []  # meets: (slice, its outer chain, its inner chain)
-    for rest, _, mid in plans:
-        outer.append(rest[:mid])
-        if mid == rest.size:
-            ends.append(len(outer) - 1)
-        else:
-            meets.append((rest[mid], len(outer) - 1, len(inner)))
-            inner.append(rest[:mid:-1])
-    # step k eliminates slice k of every chain that long, outer chains first
-    chains = np.full((len(outer) + len(inner), max((o.size for o in outer), default=0)), -1)
-    for row, chain in zip(chains, outer + inner):
-        row[:chain.size] = chain
-    running = chains.T >= 0
-    order = np.concatenate((chains.T[running], [m for m, _, _ in meets] + [c]))
-    sizes = running.sum(1).tolist() + [len(meets) + 1]
-    # e^2 X for the last pivot of each outer and inner chain; F and the sum of
-    # F X F^T (what c loses) of each inner chain
-    Xo = np.array([start for _, start, _ in plans]).reshape(-1, B, B)
-    Xi = np.zeros((len(inner), B, B))
-    F = np.tile(-e * np.eye(B), (len(inner), 1, 1))
-    FXF = np.zeros_like(Xi)
+            tails[-1] = esq * inverse
+        lives.append(side.size - tail)
+    if carried is not None and (zero is None or not carried.continues(sys, c) or any(
+            max(live - 1, 0) < state.reach for live, state in zip(lives, carried.sides))):
+        carried = None
+    if carried is None:
+        carried = _Carried(0, [_Side.fresh(0, B, e) for _ in sides], sys.grid, sys.alpha, ())
+    negatives_carried = carried.negatives
+    # plan each side's advance from offset r to t: chains as (slices, start),
+    # chain A of side s at chains[first[s]] and its chain B, if any, after
+    # it; meetings as (side, m, E)
+    chains, first, meets, reach = [], [], [], []
+    for s, (side, live, state) in enumerate(zip(sides, lives, carried.sides)):
+        r, t = state.reach, max(live - 1, state.reach)
+        reach.append(t)
+        first.append(len(chains))
+        if t - r <= 2:
+            chains.append((side[r:t], state))
+            continue
+        a = (t - r - 1) // 2
+        chains += [(side[r:r + a], state), (side[t - 2:r + a:-1], _Side.fresh(t, B, e))]
+        meets.append((s, side[r + a], side[t - 1]))
+    # longest chains first, so that the chains still running are prefixes;
+    # step k eliminates slice k of every chain that long
+    rank = sorted(range(len(chains)), key=lambda j: chains[j][0].size, reverse=True)
+    row_of = {j: i for i, j in enumerate(rank)}
+    Y = np.array([chains[j][1].Y for j in rank]).reshape(-1, B, B)
+    F = np.array([chains[j][1].F for j in rank]).reshape(-1, B, B)
+    L = np.array([chains[j][1].lost for j in rank]).reshape(-1, B, B)
+    table = np.full((len(rank), max((chain[0].size for chain in chains), default=0)), -1)
+    for row, j in zip(table, rank):
+        row[:chains[j][0].size] = chains[j][0]
+    running = table.T >= 0
+    finals = [s for s, live in enumerate(lives) if live]
+    groups = [*(column[keep] for column, keep in zip(table.T, running)),
+              [m for _, m, _ in meets], [E for _, _, E in meets],
+              [sides[s][lives[s] - 1] for s in finals] + [c]]
+    sizes = [len(group) for group in groups]
+    order = np.concatenate(groups).astype(np.intp)
     blocks = _step_blocks(sys, shift, order, sizes)
     at = 0
-    for size, a, D in zip(sizes, running[:, :len(outer)].sum(1).tolist(), blocks):
-        idx, b = order[at:at + size], size - a
+    for size, D in zip(sizes[:-3], blocks):
+        idx = order[at:at + size]
         at += size
-        D[:a] -= Xo[:a]
-        D[a:] -= Xi[:b]
+        D -= Y[:size]
         negatives, inv = _pivot_inverses(D, idx)
-        total += negatives
-        np.multiply(inv[:a], esq, out=Xo[:a])
-        if b:
-            np.multiply(inv[a:], esq, out=Xi[:b])
-            G = F[:b] @ inv[a:]
-            FXF[:b] += G @ np.swapaxes(F[:b], 1, 2)
-            np.multiply(G, e, out=F[:b])
-    D = next(blocks)
-    lost += np.sum(Xo[ends], 0) + np.sum(FXF, 0)
+        negatives_carried += negatives
+        np.multiply(inv, esq, out=Y[:size])
+        G = F[:size] @ inv
+        L[:size] += G @ np.swapaxes(F[:size], 1, 2)
+        np.multiply(G, e, out=F[:size])
+    D_meet, D_sep, D_last = next(blocks), next(blocks), next(blocks)
+    new = [_Side(t, Y[row_of[j]], F[row_of[j]], L[row_of[j]]) for t, j in zip(reach, first)]
     if meets:
-        where, jo, ji = (list(column) for column in zip(*meets))
-        w, U = np.linalg.eigh(D[:-1] - Xo[jo] - Xi[ji])
-        total += _negatives(w, where)
-        Z = F[ji] @ U
-        lost += np.sum((Z / w[:, None, :]) @ np.swapaxes(Z, 1, 2), 0)
-    D_c = D[-1] - lost
+        ja = [row_of[first[s]] for s, _, _ in meets]
+        jb = [row_of[first[s] + 1] for s, _, _ in meets]
+        negatives, T = _eigh_inverses(D_meet - Y[ja] - Y[jb], order[at:at + len(meets)])
+        negatives_carried += negatives
+        FA, FB = F[ja] @ T, F[jb] @ T
+        lost_a = L[ja] + FA @ np.swapaxes(F[ja], 1, 2)
+        C = -FA @ np.swapaxes(F[jb], 1, 2)
+        D_sep -= L[jb] + FB @ np.swapaxes(F[jb], 1, 2)
+        negatives, P = _pivot_inverses(D_sep, order[at + len(meets):at + 2 * len(meets)])
+        negatives_carried += negatives
+        CP = C @ P
+        for i, (s, _, _) in enumerate(meets):
+            new[s] = _Side(reach[s], esq * P[i], e * CP[i], lost_a[i] + CP[i] @ C[i].T)
+    total += negatives_carried
+    for s, side in enumerate(sides):
+        if side.size and not lives[s]:
+            lost += np.diag(tails[s])  # a side that is all free tail
+    if finals:
+        T = D_last[:-1] - np.array([new[s].Y for s in finals])
+        for i, s in enumerate(finals):
+            if tails[s] is not None:
+                T[i] -= np.diag(tails[s])
+            lost += new[s].lost
+        negatives, T = _eigh_inverses(T, order[-len(finals) - 1:-1])
+        total += negatives
+        Z = np.array([new[s].F for s in finals])
+        lost += np.sum(Z @ T @ np.swapaxes(Z, 1, 2), 0)
+    D_c = D_last[-1] - lost
     full = total + _negatives(np.linalg.eigvalsh(D_c)[None], [c])
-    return full, None if zero is None else total + _negatives(
-        np.linalg.eigvalsh(D_c[1:, 1:])[None], [c])
+    if zero is None:
+        return full, None, None
+    tilde = total + _negatives(np.linalg.eigvalsh(D_c[1:, 1:])[None], [c])
+    return full, tilde, _Carried(negatives_carried, new, sys.grid, sys.alpha,
+                                 _rows(sys, [c - reach[0], c, c + reach[1]]))
 
 
-def count_full_2d(sys: BlockSystem2D) -> tuple[int, int | None]:
+class _BlockPass:
+    """The coupled block pass of one channel set, carried from one
+    domain-doubling level to the next.
+
+    The inertia of the block-tridiagonal matrix is the sum of the inertias
+    of its pivot blocks, in any elimination order.  Both sides of the
+    separator slice c (the t = 0 slice, or the last slice without a t = 0
+    node) are eliminated onto c, which is factored last: whole for N_-(H),
+    without its constant channel for N_-(H~).  Every earlier step is a Schur
+    complement onto c, and c's constant row is part of no other pivot, so
+    deleting it at the end is exact.  Each side is eliminated from c
+    outward, so the state it reaches on one level is the start of the next
+    level's, whose grid holds every slice of this one, bit for bit: each
+    level factors only the slices it adds (see _level_pass).  A level that
+    does not continue the state (another h or coupling, rows that differ, a
+    side whose live part shrank) starts afresh.
+
+    Every chain of both sides steps together, one stacked LAPACK call a step;
+    positive-definite stacks with ||D||_1 ||D^-1||_1 < CONDITION_LIMIT skip
+    eigh: that product bounds kappa_2(D), so the guard could not stop on
+    them.  A nearly singular pivot block restarts the level from a fresh
+    state at the shift ZERO_PIVOT_SHIFT, which the pass keeps for later
+    levels; a second one raises NumericalError."""
+
+    def __init__(self):
+        self.shift = 0.0
+        self.carried: _Carried | None = None
+
+    def count(self, sys: BlockSystem2D) -> tuple[int, int | None]:
+        try:
+            full, tilde, self.carried = _level_pass(sys, self.shift, self.carried)
+        except _SingularPivot as exc:
+            self.carried = None
+            if self.shift:
+                raise NumericalError(f"singular pivot persisted under shift: {exc}") from exc
+            log.warning("%s; retrying with shift %g", exc, ZERO_PIVOT_SHIFT)
+            self.shift = ZERO_PIVOT_SHIFT
+            return self.count(sys)
+        return full, tilde
+
+
+def count_full_2d(sys: BlockSystem2D, passes: dict | None = None) -> tuple[int, int | None]:
     """Exact negative-eigenvalue counts (N_-(H), N_-(H~)) of the assembled
     system from one pass; N_-(H~) is None on a grid without a t = 0 node.
-    A nearly singular pivot block re-runs the whole pass, for both counts,
-    at the shift ZERO_PIVOT_SHIFT."""
+
+    ``passes``, kept by the caller from one domain-doubling level to the
+    next, holds the pass of each channel cutoff (m_max), which continues the
+    previous level's elimination: the counts are the same with it or
+    without it.  A nearly singular pivot block re-runs the level, for both
+    counts, at the shift ZERO_PIVOT_SHIFT, which a carried pass keeps for
+    the later levels."""
     if sys.is_block_diagonal:
         return _count_block_diagonal(sys)
-    try:
-        return _count_block_tridiagonal(sys)
-    except _SingularPivot as exc:
-        log.warning("%s; retrying with shift %g", exc, ZERO_PIVOT_SHIFT)
-        try:
-            return _count_block_tridiagonal(sys, shift=ZERO_PIVOT_SHIFT)
-        except _SingularPivot as exc2:
-            raise NumericalError(f"singular pivot persisted under shift: {exc2}") from exc2
+    if passes is None:
+        return _BlockPass().count(sys)
+    return passes.setdefault(sys.channel_set.m_max, _BlockPass()).count(sys)
 
 
 def count_radial_2d(v_rad: RadialProfile | EffectivePotential | Callable,
@@ -478,7 +602,7 @@ def birman_schwinger_2d(spec: PotentialSpec, eps: float, grid: Grid1D,
 
 
 def count_2d_auto(spec: PotentialSpec, alpha: float, grid: Grid1D, n_theta: int = 256,
-                  max_dimension: int = DEFAULT_MAX_DIMENSION
+                  max_dimension: int = DEFAULT_MAX_DIMENSION, passes: dict | None = None
                   ) -> tuple[tuple[int, int, bool], tuple[int, int, bool]]:
     """(count, m_max used, channel cutoff certified) for N_-(H) and N_-(H~).
 
@@ -487,7 +611,9 @@ def count_2d_auto(spec: PotentialSpec, alpha: float, grid: Grid1D, n_theta: int 
     count again with ESCALATION_STEP extra modes until the count stops
     changing, each count by its own rule over one cache of passes that each
     give both counts; failure to stabilize is flagged, never silently
-    accepted.
+    accepted.  ``passes`` (see count_full_2d), kept by the caller across the
+    domain-doubling levels of one spec and alpha, lets each level continue
+    the previous level's pass of every m_max.
     """
     if not grid.has_node_at_zero:
         raise ValueError("count_2d_auto needs a grid node at t=0")
@@ -503,7 +629,8 @@ def count_2d_auto(spec: PotentialSpec, alpha: float, grid: Grid1D, n_theta: int 
     @cache
     def run(mm: int) -> tuple[int, int]:
         return count_full_2d(assemble_full_2d(spec, alpha, grid, ChannelSet(mm), n_theta,
-                                              max_dimension=max_dimension, dec=dec, G=G))
+                                              max_dimension=max_dimension, dec=dec, G=G),
+                             passes)
 
     def escalate(which: int) -> tuple[int, int, bool]:
         m_max = start

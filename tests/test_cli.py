@@ -250,6 +250,31 @@ def test_count2d_reports_every_certification_level(tmp_path, capsys, monkeypatch
     assert payload["count"] == 5
     assert payload["m_max_used"] == 9
     assert payload["converged"] is False
+    assert payload["levels"] == [
+        {"t_half": 4.0, "n": 41, "count": 5, "m_max": 9, "cutoff_certified": False},
+        {"t_half": 8.0, "n": 81, "count": 5, "m_max": 7, "cutoff_certified": True}]
+
+
+@pytest.mark.parametrize("pinned", [[], ["--channels", "3"]], ids=["auto", "pinned"])
+def test_count2d_reports_its_level_trail(tmp_path, capsys, pinned):
+    doc = dict(NONRADIAL_CONFIG, grid_policy={"t_half": 3.0, "n": 61, "max_doublings": 2,
+                                              "agreements": 1})
+    argv = ["count2d", "--config", write_config(tmp_path, doc), "--alpha", "12"] + pinned
+    assert cli.main(argv) == 0
+    full = json.loads(capsys.readouterr().out)
+    assert cli.main(argv + ["--tilde"]) == 0
+    tilde = json.loads(capsys.readouterr().out)
+    for payload in (full, tilde):
+        levels = payload["levels"]
+        assert [(level["t_half"], level["n"]) for level in levels] == [
+            (3.0 * 2 ** k, 60 * 2 ** k + 1) for k in range(len(levels))]
+        assert len(levels) >= 2 and levels[-1]["count"] == payload["count"]
+        assert levels[-1]["count"] == levels[-2]["count"]
+        assert max(level["m_max"] for level in levels) == payload["m_max_used"]
+        assert payload["converged"] == all(level["cutoff_certified"] for level in levels)
+        if pinned:
+            assert {level["m_max"] for level in levels} == {3}
+    assert tilde["count"] <= full["count"] <= tilde["count"] + 1
 
 
 @pytest.mark.parametrize("tilde", [False, True], ids=["full", "tilde"])
@@ -570,6 +595,27 @@ def test_verify_suite_exit_codes(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "run_suite", failing_suite)
     assert cli.main(["verify", "--suite", "bs"]) == 3
+
+
+def test_verify_fuzz_passes_at_any_seed_and_rejects_negative_ones(capsys):
+    # bs takes about a second a seed, the other suites a fifth of that
+    rng = np.random.default_rng(2028)
+    suites = rng.permutation(["hardy", "sandwich", "radial-consistency"] * 6 + ["bs"] * 3)
+    specials = [0, 2 ** 63, 2 ** 64 + 5, int(rng.integers(1, 2 ** 62)) * 2 ** 40]
+    for case, suite in enumerate(suites):
+        seed = specials[case] if case < len(specials) else int(rng.integers(0, 2 ** 63))
+        argv = ["verify", "--suite", str(suite), "--seed", str(seed)]
+        assert cli.main(argv) == 0, argv
+        captured = capsys.readouterr()
+        *checks, last = captured.out.splitlines()
+        assert captured.err == "" and last == f"suite {suite}: passed ({len(checks)} checks)"
+        assert checks and all(line.startswith("PASS  ") for line in checks), argv
+    for seed in (-1, -(2 ** 70), -int(rng.integers(2, 2 ** 63))):
+        argv = ["verify", "--suite", str(rng.choice(suites)), "--seed", str(seed)]
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"config error: bad --seed value {seed}")
 
 
 def test_version_and_bad_subcommand(capsys):

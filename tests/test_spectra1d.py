@@ -130,6 +130,21 @@ def test_level_grids_share_the_base_spacing(n):
         assert grid.has_node_at_zero
 
 
+@pytest.mark.parametrize("t_half, n", [(30.0, 6001), (30.0, 6000), (6.0, 121), (8.0, 801),
+                                        (2.0, 41), (0.7, 10), (1e-3, 3)])
+def test_level_grids_nest_bit_for_bit(t_half, n):
+    policy = bc.GridPolicy(t_half=t_half, n=n)
+    for level in range(3):
+        grid, outer = policy.level_grid(level), policy.level_grid(level + 1)
+        # the grid's nodes, ends included, are the middle of the next level's
+        k = (outer.n - grid.n) // 2
+        assert outer.nodes[k:k + grid.n].tobytes() == grid.nodes.tobytes()
+        assert grid.interior[grid.zero_index] == 0.0
+        # a node k steps from the centre is k h, within a few ulp of linspace
+        linspace = np.linspace(grid.t_min, grid.t_max, grid.n)
+        assert np.max(np.abs(grid.nodes - linspace)) <= 8 * np.spacing(grid.t_max)
+
+
 # ---------------------------------------------------------------- count_M and channels
 
 

@@ -1,13 +1,14 @@
 """2D block systems: assembly structure, exact counts, Hardy ratios."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
 import boundcount as bc
-from boundcount import spectra2d
+from boundcount import cli, spectra2d
 from boundcount.errors import MatrixSizeError
 from boundcount.potentials import PotentialSpec
 from boundcount.verify import dense_bs_count, random_fourier_spec
@@ -194,6 +195,32 @@ def test_coupling_blocks_sampled_path_stability():
     base = WithBump(0.0).angular_coefficients(r, 3, n_theta=64)
     bumped = WithBump(2.0).angular_coefficients(r, 3, n_theta=64)
     assert np.max(np.abs(base[:, 1:] - bumped[:, 1:])) <= 1e-14
+
+
+def test_level_systems_nest_bit_for_bit_for_every_family(tmp_path):
+    # every family, radial or not, sampled where it jumps (the disk and the
+    # ring), underflows (the Gaussian), decays slowly (log_borderline) or is
+    # tabulated on an annulus
+    table = tmp_path / "table.csv"
+    rows = [(r, th, 0.5 + 0.2 * math.cos(th) * r)
+            for r in (0.5, 1.0, 2.0) for th in (2 * math.pi * k / 8 for k in range(8))]
+    table.write_text("\n".join(f"{r!r},{th!r},{v!r}" for r, th, v in rows))
+    specs = [bc.disk_well(1.0, 0.8), bc.gaussian_well(1.0, 1.0), bc.log_borderline(1.0),
+             ring_spec(0.5, 2.0), gauss_spec(1.0), SquaredCosine(),
+             bc.fourier_sum([(0, bc.gaussian_profile(1.0, 1.0), "cos"),
+                             (2, bc.gaussian_profile(0.3, 1.0), "sin")]),
+             bc.annulus_tabulated(str(table))]
+    policy = bc.GridPolicy(t_half=3.0, n=61)
+    for spec in specs:
+        systems = [bc.assemble_full_2d(spec, 20.0, policy.level_grid(level), channels=3)
+                   for level in range(4)]
+        for sys_, outer in zip(systems, systems[1:]):
+            n_int = sys_.chan_diag.shape[1]
+            k = (outer.chan_diag.shape[1] - n_int) // 2
+            mid = slice(k, k + n_int)
+            assert sys_.chan_diag.tobytes() == outer.chan_diag[:, mid].tobytes(), spec
+            assert sys_.pmodes.tobytes() == outer.pmodes[mid].tobytes(), spec
+            assert sys_.qmodes.tobytes() == outer.qmodes[mid].tobytes(), spec
 
 
 def test_dimension_ceiling_enforced():
@@ -418,8 +445,8 @@ def spy_negatives(monkeypatch):
 
 def test_block_pass_falls_back_to_eigh_mid_pass(monkeypatch):
     # a deep well inside the unit circle: at large alpha the pivots of the
-    # left side's inner chain (from the t = 0 slice outward) are indefinite
-    # while its outer chain's and the right side's stay positive
+    # left side's chain A (from the t = 0 slice outward) are indefinite
+    # while its chain B's and the right side's stay positive
     spec = bc.fourier_sum([(0, bc.gaussian_profile(1.0, 0.5), "cos"),
                            (1, bc.gaussian_profile(0.4, 0.5), "cos")])
     grid = bc.Grid1D.symmetric(4.0, 41)
@@ -432,27 +459,33 @@ def test_block_pass_falls_back_to_eigh_mid_pass(monkeypatch):
     assert left_tail == 0 < right_tail
     # the right side's free tail first, under the tail guard; the t = 0
     # slice last, whole and without its constant channel
-    *steps, meets, full, tilde = seen
+    *steps, meets, finals, full, tilde = seen
     assert steps.pop(0) == [(n_int - 1 - j, 0) for j in range(right_tail)]
     assert full[0][0] == tilde[0][0] == zero
-    assert sorted(i for i, _ in meets) == [9, 26]  # the middle slice of each side
-    # of the 9 chain steps (the left side splits 9 + 1 + 9) some pass by
-    # Cholesky; stacked ones where one chain has negatives and another has
-    # none go through eigh
-    assert 0 < len(steps) < 9
+    # each side advances from the t = 0 slice to the slice before its last
+    # live slice, 1 on the left and n_int - right_tail - 2 on the right; its
+    # two chains meet at the middle of that stretch, and the last live slices
+    # meet the grid's end and the free tail
+    assert [i for i, _ in meets] == [10, 25]
+    assert [i for i, _ in finals] == [0, n_int - right_tail - 1]
+    # of the 8 chain steps (the left side splits 8 + 1 + 8 before slice 1)
+    # some pass by Cholesky; stacked ones where one chain has negatives and
+    # another has none go through eigh
+    assert 0 < len(steps) < 8
     assert any(max(k for _, k in step) > 0 and min(k for _, k in step) == 0 for step in steps)
 
 
-def pivot_system(first, final, end_modes=0.0):
-    """A coupled system on five slices whose first and final slices are
-    diagonal, with these entries, up to modes of size ``end_modes``: without
-    those modes each is a free tail of one slice, with them the first pivot
-    of a chain.  The three slices between carry random modes."""
+def pivot_system(first, final, modes=0.0, at=(0, 4)):
+    """A coupled system on five slices whose slices ``at`` are diagonal, with
+    the entries ``first`` and ``final``, up to modes of size ``modes``: at
+    the ends (0 and 4) and without modes, each is a free tail of one slice;
+    beside the t = 0 slice (1 and 3), the first pivot of a chain.  The other
+    slices carry random modes."""
     rng = np.random.default_rng(59)
     chan_diag = rng.uniform(1.0, 3.0, (3, 5))
-    chan_diag[:, 0], chan_diag[:, 4] = first, final
+    chan_diag[:, at[0]], chan_diag[:, at[1]] = first, final
     pmodes, qmodes = rng.uniform(-0.3, 0.3, (2, 5, 3))
-    pmodes[[0, 4]] = qmodes[[0, 4]] = end_modes
+    pmodes[list(at)] = qmodes[list(at)] = modes
     pmodes[:, 0] = 0.0
     return bc.BlockSystem2D(grid=bc.Grid1D.symmetric(2.0, 7), channel_set=bc.ChannelSet(1),
                             alpha=2.0, chan_diag=chan_diag, pmodes=pmodes, qmodes=qmodes,
@@ -477,19 +510,19 @@ def count_without_retry(monkeypatch, caplog, sys_):
 @ILL_CONDITIONED_ENDS
 def test_ill_conditioned_positive_pivot_goes_through_eigh(monkeypatch, caplog, first, final):
     # condition number 2 / 3e-13 ~ 7e12 on either side, as the first pivot of
-    # a chain: Cholesky factors the first step's stack, but the condition
-    # bound leaves it to eigh, whose guard passes it
-    sys_ = pivot_system(first, final, end_modes=1e-30)
+    # a chain (beside the t = 0 slice): Cholesky factors the first step's
+    # stack, but the condition bound leaves it to eigh, whose guard passes it
+    sys_ = pivot_system(first, final, modes=1e-30, at=(1, 3))
     assert tail_lengths(sys_) == [(2, 0), (2, 0)]
-    np.linalg.cholesky(sys_.blocks()[[0, 4]])
-    assert count_without_retry(monkeypatch, caplog, sys_)[0] == [(0, 0), (4, 0)]
+    np.linalg.cholesky(sys_.blocks()[[1, 3]])
+    assert count_without_retry(monkeypatch, caplog, sys_)[0] == [(1, 0), (3, 0)]
 
 
 @ILL_CONDITIONED_ENDS
 def test_ill_conditioned_free_tail_pivot_passes_the_tail_guard(monkeypatch, caplog, first,
                                                               final):
-    # the same pivots without modes: each end slice is a free tail of one
-    # slice, whose diagonal pivot the tail guard passes
+    # the same pivots at the ends and without modes: each end slice is a
+    # free tail of one slice, whose diagonal pivot the tail guard passes
     sys_ = pivot_system(first, final)
     assert tail_lengths(sys_) == [(2, 1), (2, 1)]
     assert count_without_retry(monkeypatch, caplog, sys_)[:2] == [[(0, 0)], [(4, 0)]]
@@ -538,9 +571,10 @@ def test_free_tail_pivot_that_reaches_zero_retries_at_the_shift(caplog):
 
 
 def inner_chain_system(left, right):
-    """A coupled system on nine slices, each side of four: an outer chain of
-    two, the middle slice, and an inner chain of one (slice 3 on the left,
-    5 on the right), whose diagonal blocks have these entries."""
+    """A coupled system on nine slices, each side of four: chain A of one
+    from the t = 0 slice's neighbour (slice 3 on the left, 5 on the right),
+    whose diagonal blocks have these entries, the middle slice, the
+    separator and the last live slice."""
     rng = np.random.default_rng(61)
     chan_diag = rng.uniform(1.0, 3.0, (3, 9))
     chan_diag[:, 3], chan_diag[:, 5] = left, right
@@ -553,10 +587,10 @@ def inner_chain_system(left, right):
 
 
 def test_nearly_singular_inner_chain_pivot_retries_at_the_shift(caplog):
-    # the first pivot of an inner chain is the plain block of the t = 0
-    # slice's neighbour, here nearly singular.  The reference eliminates each
-    # side from its outer end, so it never factors that block alone: only
-    # the counts can be compared with it
+    # the first pivot of the chain from the t = 0 slice outward is the plain
+    # block of that slice's neighbour, here nearly singular.  The reference
+    # eliminates each side from its outer end, so it never factors that
+    # block alone: only the counts can be compared with it
     shift = bc.spectra1d.ZERO_PIVOT_SHIFT
     sys_ = inner_chain_system([1.0, 1.5e-14, 2.0], [2.0, 3.0, 4.0])
     assert tail_lengths(sys_) == [(4, 0), (4, 0)]
@@ -564,10 +598,222 @@ def test_nearly_singular_inner_chain_pivot_retries_at_the_shift(caplog):
         got = bc.count_full_2d(sys_)
     assert "near-singular pivot block at slice 3; retrying with shift" in caplog.text
     assert got == reference_block_pass(sys_) == dense_pair(sys_, shift=shift)
-    # the shift lifts slice 3 and makes the right side's inner pivot singular
+    # the shift lifts slice 3 and makes the right side's first pivot singular
     sys_ = inner_chain_system([1.0, 1.5e-14, 2.0], [2.0, shift, 4.0])
     with pytest.raises(bc.NumericalError, match="at slice 5"):
         bc.count_full_2d(sys_)
+
+
+# ---------------------------------------------------------------- passes carried across levels
+
+
+COUPLED_SPEC = bc.fourier_sum([(0, bc.gaussian_profile(1.0, 1.0), "cos"),
+                               (1, bc.gaussian_profile(0.5, 1.0), "cos")])
+
+
+def spy_continues(monkeypatch):
+    """Record, per level a carried pass sees, whether it continued its state."""
+    seen = []
+    continues = spectra2d._Carried.continues
+
+    def spy(self, sys_, c):
+        seen.append(continues(self, sys_, c))
+        return seen[-1]
+
+    monkeypatch.setattr(spectra2d._Carried, "continues", spy)
+    return seen
+
+
+def test_carried_passes_match_fresh_levels_on_the_coupled_catalogue(monkeypatch):
+    # (1 + cos theta) e^{-r^2} at the certified request's alphas
+    policy = bc.GridPolicy(t_half=6.0, n=121)
+    continued = spy_continues(monkeypatch)
+    for alpha in np.linspace(10.425, 12.0, 64)[::9]:
+        passes = {}
+        for level in range(4):
+            grid = policy.level_grid(level)
+            fresh = bc.count_2d_auto(COUPLED_SPEC, alpha, grid, max_dimension=10 ** 6)
+            assert bc.count_2d_auto(COUPLED_SPEC, alpha, grid, max_dimension=10 ** 6,
+                                    passes=passes) == fresh, (alpha, level)
+        assert sorted(passes) == [8, 10]
+    # every level after the first continued the passes of the level before
+    assert continued == [True] * (8 * 3 * 2)
+
+
+def far_ring_spec():
+    """Non-radial on the ring e^-1.5 < r < e^-0.5, and through an m = 1 mode
+    alone on e^2.5 < r < e^3.5: on a grid with t_half < 2.5 every slice with
+    t > 0 is free."""
+    inner = (math.exp(-1.5), math.exp(-0.5))
+    return bc.fourier_sum([(0, bc.ring_profile(1.0, *inner), "cos"),
+                           (1, bc.ring_profile(0.4, *inner), "sin"),
+                           (1, bc.ring_profile(0.4, math.exp(2.5), math.exp(3.5)), "cos")])
+
+
+def one_slice_spec():
+    """A ring around the slice t = 0.2 only (h = 0.2 below): the right side's
+    live part is that one slice, and the left side is all free."""
+    ring = (math.exp(0.1), math.exp(0.3))
+    return bc.fourier_sum([(0, bc.ring_profile(2.0, *ring), "cos"),
+                           (1, bc.ring_profile(0.8, *ring), "cos")])
+
+
+@pytest.mark.parametrize("spec, policy, shapes", [
+    # a free tail on the right side only, from level 0 or from level 1 on,
+    # on both sides, on neither
+    (gauss_spec(1.0), bc.GridPolicy(t_half=4.0, n=21), [[(9, 0), (9, 1)], [(19, 0), (19, 11)]]),
+    (gauss_spec(1.0), bc.GridPolicy(t_half=3.0, n=31), [[(14, 0), (14, 0)], [(29, 0), (29, 13)]]),
+    (ring_spec(0.5, 2.0), bc.GridPolicy(t_half=2.0, n=21),
+     [[(9, 6), (9, 6)], [(19, 16), (19, 16)]]),
+    (gauss_spec(3.0), bc.GridPolicy(t_half=1.0, n=11), [[(4, 0), (4, 0)], [(9, 0), (9, 0)]]),
+    # the right side's live part is one slice, the left side all free
+    (one_slice_spec(), bc.GridPolicy(t_half=2.0, n=21), [[(9, 9), (9, 8)], [(19, 19), (19, 18)]]),
+    # the right side all free on level 0 but not on level 1
+    (far_ring_spec(), bc.GridPolicy(t_half=2.0, n=21), [[(9, 2), (9, 9)], [(19, 12), (19, 2)]]),
+])
+def test_carried_passes_match_fresh_and_dense_on_every_tail_shape(monkeypatch, spec, policy,
+                                                                  shapes):
+    rng = np.random.default_rng(71)
+    continued = spy_continues(monkeypatch)
+    for alpha in np.exp(rng.uniform(np.log(1.0), np.log(300.0), 3)):
+        passes = {}
+        for level in range(4):
+            sys_ = bc.assemble_full_2d(spec, alpha, policy.level_grid(level), channels=2)
+            if level < 2:
+                assert tail_lengths(sys_) == shapes[level]
+            got = bc.count_full_2d(sys_, passes)
+            assert got == bc.count_full_2d(sys_) == dense_pair(sys_), (alpha, level)
+    assert continued == [True] * 9
+
+
+def test_a_pass_on_another_grid_starts_afresh(monkeypatch):
+    continued = spy_continues(monkeypatch)
+    passes = {}
+    for grid in (bc.Grid1D.symmetric(3.0, 31), bc.Grid1D.symmetric(6.0, 63),  # h 0.2, then not
+                 bc.Grid1D.symmetric(12.0, 125), bc.Grid1D(-6.0, 6.0, 62)):  # no t = 0 node
+        sys_ = bc.assemble_full_2d(gauss_spec(1.0), 40.0, grid, channels=2)
+        assert bc.count_full_2d(sys_, passes) == bc.count_full_2d(sys_) == dense_pair(sys_)
+    # the third grid doubles the second; the fourth has no t = 0 node to carry
+    assert continued == [False, True]
+    assert passes[2].carried is None
+
+
+def nested_system(level, singular_at):
+    """A coupled system on level ``level`` of GridPolicy(t_half=2, n=11) whose
+    rows are functions of t alone, so that the levels nest: modes only where
+    t > -3, and the constant channel's diagonal entry ``singular_at[t]`` on
+    the slices at those t."""
+    grid = bc.GridPolicy(t_half=2.0, n=11).level_grid(level)
+    t = grid.interior
+    chan_diag = 2.0 + np.arange(3)[:, None] + np.sin(t)
+    for at, value in singular_at.items():
+        chan_diag[0, t == at] = value
+    k = np.arange(3)
+    pmodes = np.where(t[:, None] > -3.0, 0.3 * np.cos(k * t[:, None]), 0.0)
+    qmodes = np.where(t[:, None] > -3.0, 0.2 * np.sin((k + 1) * t[:, None]), 0.0)
+    pmodes[:, 0] = 0.0
+    return bc.BlockSystem2D(grid=grid, channel_set=bc.ChannelSet(1), alpha=2.0,
+                            chan_diag=chan_diag, pmodes=pmodes, qmodes=qmodes,
+                            is_block_diagonal=False)
+
+
+def test_a_singular_pivot_on_level_1_restarts_the_pass_shifted(monkeypatch, caplog):
+    # level 1's outermost left slice is a free tail of one slice with an
+    # exact zero: its pivot stops the continued pass, which restarts level 1
+    # at the shift and keeps it; level 2 continues the shifted state
+    policy = bc.GridPolicy(t_half=2.0, n=11)
+    end = {level: float(policy.level_grid(level).interior[0]) for level in range(4)}
+    shift = bc.spectra1d.ZERO_PIVOT_SHIFT
+    continued = spy_continues(monkeypatch)
+    passes = {}
+    with caplog.at_level("WARNING", logger="boundcount.spectra2d"):
+        for level, want_shift in ((0, 0.0), (1, shift), (2, shift)):
+            sys_ = nested_system(level, {end[1]: 0.0})
+            assert tail_lengths(sys_)[0][1] == min(level, 1)
+            assert bc.count_full_2d(sys_, passes) == dense_pair(sys_, shift=want_shift)
+            assert passes[1].shift == want_shift
+    assert caplog.text.count("retrying with shift") == 1
+    assert "near-singular pivot block at slice 0" in caplog.text
+    # level 1 stopped in its free tail, before it looked at level 0's state;
+    # level 2 continued level 1's shifted state
+    assert continued == [True]
+    # a second singular pivot, under the shift the pass kept, is an error
+    sys_ = nested_system(3, {end[1]: 0.0, end[3]: shift})
+    with pytest.raises(bc.NumericalError, match="persisted under shift"):
+        bc.count_full_2d(sys_, passes)
+    # a fresh pass still counts level 3 at shift 0
+    assert bc.count_full_2d(sys_) == dense_pair(sys_)
+
+
+def test_a_pass_whose_live_part_shrank_starts_afresh(monkeypatch):
+    # h = 0.4: on level 1 the right side's live part ends at t = 2.0 (its
+    # state reaches t = 1.6, a slice without modes); on level 2 the modes
+    # at t = 2.0 are gone and the live part ends at t = 0.8, while the rows
+    # at c and at t = 1.6 are unchanged.  The pass must not continue a state
+    # that runs past the new live part
+    policy = bc.GridPolicy(t_half=2.0, n=11)
+
+    def system(level, live_at):
+        grid = policy.level_grid(level)
+        t = grid.interior
+        chan_diag = 2.0 + np.arange(3)[:, None] + np.where(np.abs(t) < 1.0, np.sin(t), 0.5)
+        k = np.arange(3)
+        live = (np.abs(t) < 1.0) | np.isin(t, live_at)
+        pmodes = np.where(live[:, None], 0.3 * np.cos(k * t[:, None]), 0.0)
+        qmodes = np.where(live[:, None], 0.2 * np.sin((k + 1) * t[:, None]), 0.0)
+        pmodes[:, 0] = 0.0
+        return bc.BlockSystem2D(grid=grid, channel_set=bc.ChannelSet(1), alpha=2.0,
+                                chan_diag=chan_diag, pmodes=pmodes, qmodes=qmodes,
+                                is_block_diagonal=False)
+
+    far = float(policy.level_grid(1).interior[-5])  # t = 2.0
+    continued = spy_continues(monkeypatch)
+    passes = {}
+    first, second = system(1, [far]), system(2, [])
+    assert tail_lengths(first) == [(9, 7), (9, 4)] and tail_lengths(second) == [(19, 17)] * 2
+    assert bc.count_full_2d(first, passes) == dense_pair(first)
+    assert passes[1].carried.sides[1].reach == 4
+    assert bc.count_full_2d(second, passes) == dense_pair(second)
+    assert continued == [True] and passes[1].carried.sides[1].reach == 1
+
+
+def count_dense_blocks(monkeypatch):
+    """Count the pivot blocks factored densely: through _pivot_inverses, or
+    through _eigh_inverses outside it."""
+    seen = [0]
+    depth = [0]
+
+    def wrap(factor):
+        def spy(D, where):
+            if not depth[0]:
+                seen[0] += len(D)
+            depth[0] += 1
+            try:
+                return factor(D, where)
+            finally:
+                depth[0] -= 1
+        return spy
+
+    for name in ("_pivot_inverses", "_eigh_inverses"):
+        monkeypatch.setattr(spectra2d, name, wrap(getattr(spectra2d, name)))
+    return seen
+
+
+def test_a_certified_coupled_request_factors_each_slice_about_once(tmp_path, capsys,
+                                                                    monkeypatch):
+    # (1 + cos theta) e^{-r^2} at alpha = 11: levels 0-2 at m_max 8 and 10
+    # hold 2 x 273 live slices; a pass per level from scratch factors 1032
+    doc = {"potential": {"family": "fourier_sum", "params": {"modes": [
+        {"m": 0, "profile": {"shape": "gaussian", "amplitude": 1.0, "width": 1.0}},
+        {"m": 1, "kind": "cos", "profile": {"shape": "gaussian", "amplitude": 0.5, "width": 1.0}},
+    ]}}, "grid_policy": {"t_half": 6.0, "n": 121}, "max_dimension": 200000}
+    path = tmp_path / "coupled.json"
+    path.write_text(json.dumps(doc))
+    seen = count_dense_blocks(monkeypatch)
+    assert cli.main(["count2d", "--config", str(path), "--alpha", "11", "--tilde"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["converged"] and [level["n"] for level in payload["levels"]] == [121, 241, 481]
+    assert seen[0] <= 560
 
 
 def test_radial_consistency_exact():
