@@ -347,9 +347,9 @@ class _Side:
     lost: np.ndarray
 
     @staticmethod
-    def fresh(reach: int, B: int, e: float) -> "_Side":
-        """Nothing eliminated beyond offset ``reach``: F is the plain coupling -e I."""
-        return _Side(reach, np.zeros((B, B)), -e * np.eye(B), np.zeros((B, B)))
+    def fresh(B: int, e: float) -> "_Side":
+        """Nothing eliminated yet: F is the plain coupling -e I."""
+        return _Side(0, np.zeros((B, B)), -e * np.eye(B), np.zeros((B, B)))
 
 
 def _rows(sys: BlockSystem2D, at: list[int]) -> tuple[np.ndarray, ...]:
@@ -418,14 +418,13 @@ def _level_pass(sys: BlockSystem2D, shift: float,
     if carried is not None and (zero is None or not carried.continues(sys, c) or any(
             max(live - 1, 0) < state.reach for live, state in zip(lives, carried.sides))):
         carried = None
-    if carried is None:
-        carried = _Carried(0, [_Side.fresh(0, B, e) for _ in sides], sys.grid, sys.alpha, ())
-    negatives_carried = carried.negatives
+    states = [_Side.fresh(B, e) for _ in sides] if carried is None else carried.sides
+    negatives_carried = 0 if carried is None else carried.negatives
     # plan each side's advance from offset r to t: chains as (slices, start),
     # chain A of side s at chains[first[s]] and its chain B, if any, after
     # it; meetings as (side, m, E)
     chains, first, meets, reach = [], [], [], []
-    for s, (side, live, state) in enumerate(zip(sides, lives, carried.sides)):
+    for s, (side, live, state) in enumerate(zip(sides, lives, states)):
         r, t = state.reach, max(live - 1, state.reach)
         reach.append(t)
         first.append(len(chains))
@@ -433,7 +432,7 @@ def _level_pass(sys: BlockSystem2D, shift: float,
             chains.append((side[r:t], state))
             continue
         a = (t - r - 1) // 2
-        chains += [(side[r:r + a], state), (side[t - 2:r + a:-1], _Side.fresh(t, B, e))]
+        chains += [(side[r:r + a], state), (side[t - 2:r + a:-1], _Side.fresh(B, e))]
         meets.append((s, side[r + a], side[t - 1]))
     # longest chains first, so that the chains still running are prefixes;
     # step k eliminates slice k of every chain that long
