@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import math
 import os
 import sys
@@ -41,6 +42,24 @@ def _file_arg(flag: str, path: str):
         yield
     except OSError as exc:
         raise ConfigError(f"cannot use {flag} {path}: {exc.strerror or exc}") from exc
+
+
+@contextmanager
+def _stderr_log(verbose: bool):
+    """With ``verbose``, show the package's INFO lines on stderr for the call."""
+    if not verbose:
+        yield
+        return
+    log = logging.getLogger("boundcount")
+    handler, level = logging.StreamHandler(sys.stderr), log.level
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    log.addHandler(handler)
+    log.setLevel(logging.INFO)
+    try:
+        yield
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 # range of each numeric flag: (argument, accepts the value, what it must be)
@@ -247,7 +266,11 @@ def cmd_report(args) -> int:
     if args.check == "as2":
         payload = check_as2(result, window).to_dict()
     elif args.check == "estim":
-        payload = check_estim(result).to_dict()
+        try:
+            payload = check_estim(result).to_dict()
+        except ValueError as exc:
+            # a zero bound_b under counts above 1: the file contradicts itself
+            raise ConfigError(f"{args.infile}: {exc}") from exc
     elif args.check == "prop-add":
         lim = estimate_limits(result.alphas, result.n_m, args.q, window)
         lim2d = estimate_limits(result.alphas, result.n2d, args.q, window)
@@ -280,6 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Negative-eigenvalue counts for 2D Schrodinger operators "
                     "-Delta - alpha V and their semiclassical asymptotics.")
     parser.add_argument("--version", action="version", version=f"boundcount {__version__}")
+    parser.add_argument("-v", "--verbose", action="store_true",
+                        help="log INFO lines to stderr: counts that did not certify, "
+                             "channel cutoffs that did not settle")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("decompose", help="radial/non-radial split diagnostics")
@@ -345,19 +371,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        _check_flag_ranges(args)
-        _check_out_dirs(args)
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except VerificationFailure as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 3
-    except _COMPUTE_ERRORS as exc:
-        print(f"computation error: {exc}", file=sys.stderr)
-        return 1
+    with _stderr_log(args.verbose):
+        try:
+            _check_flag_ranges(args)
+            _check_out_dirs(args)
+            return args.func(args)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
+        except VerificationFailure as exc:
+            print(f"verification failure: {exc}", file=sys.stderr)
+            return 3
+        except _COMPUTE_ERRORS as exc:
+            print(f"computation error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -5,7 +5,12 @@ Dirichlet ends; negative eigenvalues are counted exactly (for the matrix)
 by the Sturm pivot recurrence, so no eigenvalues are ever computed.  The
 interior constraint phi(0) = 0 deletes the t = 0 node, splitting the matrix
 into two independent half-line blocks.  Every count goes through one
-batched kernel that advances all of its matrices node by node.
+batched kernel, a split pass: each row is cut at a centre node (t = 0 when
+the grid has it), its two halves run inward from their Dirichlet ends as
+stacked rows of one node loop of half the grid's length, and the centre's
+pivot closes the row.  The halves alone are the matrix with that node
+deleted, so one pass gives both a channel's count and, for m = 0, the
+count of the half-line blocks.
 """
 
 from __future__ import annotations
@@ -157,7 +162,7 @@ def certified_count(count_on_grid: Callable[[Grid1D], int], policy: GridPolicy) 
     return certified_counts(lambda grid, pending: [int(count_on_grid(grid))], 1, policy)[0]
 
 
-# Node-chunk length of the pivot kernel: the largest array it builds spans
+# Step-chunk length of the pivot kernel: the largest array it builds spans
 # rows x NODE_CHUNK, never rows x nodes.
 NODE_CHUNK = 256
 
@@ -172,14 +177,14 @@ class _ExplicitRows:
     def shape(self) -> tuple[int, int]:
         return self.diags.shape
 
-    def block(self, rows: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        return np.ascontiguousarray(self.diags[rows, lo:hi].T)
+    def block(self, rows: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray(self.diags[np.ix_(rows, nodes)].T)
 
 
 @dataclass(frozen=True)
 class _ChannelRows:
     """Row source kin + (m^2 - alpha G(t_i)), one (m, alpha) pair per row,
-    built node chunk by node chunk from the shared samples of G."""
+    built step chunk by step chunk from the shared samples of G."""
 
     kin: float
     m2: np.ndarray
@@ -190,75 +195,101 @@ class _ChannelRows:
     def shape(self) -> tuple[int, int]:
         return self.m2.size, self.gvals.size
 
-    def block(self, rows: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        return self.kin + (self.m2[rows] - np.multiply.outer(self.gvals[lo:hi], self.alphas[rows]))
+    def block(self, rows: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+        return self.kin + (self.m2[rows] - np.multiply.outer(self.gvals[nodes], self.alphas[rows]))
 
 
-def _pivot_pass(source, rows: np.ndarray, offsq: np.ndarray, shift: float,
-                cut: int | None, cut_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One node-major pivot sweep q_i = (d_i - shift) - offsq[i-1] / q_{i-1}
-    over ``rows`` of ``source``.  In the rows ``cut_rows`` (positions within
-    ``rows``) the node ``cut`` is decoupled: both its couplings are zero and
-    its own pivot is neither counted nor checked.  Returns (negative counts,
-    rows that hit an exact zero pivot)."""
+def _pivot_pass(source, rows: np.ndarray, offsq, centre: int, shift: float
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One split (twisted) pivot sweep over ``rows`` of ``source``.
+
+    Each row is cut at the node ``centre``.  Its two halves run inward from
+    their Dirichlet ends as stacked rows of one node loop, the left half
+    q_i = (d_i - shift) - offsq[i-1] / q_{i-1} over nodes 0..centre-1 and the
+    right half q_i = (d_i - shift) - offsq[i] / q_{i+1} over nodes
+    n-1..centre+1, and the row closes with the centre's pivot
+    q_c = (d_c - shift) - offsq[c-1] / q_{c-1} - offsq[c] / q_{c+1}.
+    Step s eliminates node centre - steps + s on the left and
+    centre + steps - s on the right; the shorter half starts with padding
+    nodes of pivot +inf, which couple to nothing.  ``offsq`` is a scalar or
+    one value per node pair.
+
+    Returns (negative counts of the whole rows, negative counts of the two
+    halves, rows whose halves hit an exact zero pivot, rows whose centre
+    pivot is exactly zero)."""
     n = source.shape[1]
-    counts = np.zeros(rows.size, dtype=np.int64)
-    hit_zero = np.zeros(rows.size, dtype=bool)
-    if cut is None:
-        cut = -2  # matches no node
-    tmp = np.empty(rows.size)
-    prev = None
+    steps = max(centre, n - 1 - centre)
+    width = 2 * rows.size
+    halves = np.zeros(width, dtype=np.int64)
+    hit_zero = np.zeros(width, dtype=bool)
+    tmp = np.empty(width)
+    prev = np.full(width, np.inf)
+    per_node = np.ndim(offsq) > 0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for lo in range(0, n, NODE_CHUNK):
-            hi = min(lo + NODE_CHUNK, n)
-            q = source.block(rows, lo, hi)
+        for lo in range(0, steps, NODE_CHUNK):
+            hi = min(lo + NODE_CHUNK, steps)
+            step = np.arange(lo, hi)
+            nodes = np.stack((centre - steps + step, centre + steps - step), axis=1)
+            q = source.block(rows, nodes.clip(0, n - 1).ravel()).reshape(hi - lo, width)
+            q[nodes[:, 0] < 0, :rows.size] = np.inf
+            q[nodes[:, 1] > n - 1, rows.size:] = np.inf
             if shift:
                 q -= shift
-            couple = offsq[lo - 1:hi - 1].tolist() if lo else [0.0] + offsq[:hi - 1].tolist()
+            if per_node:
+                pairs = np.stack((nodes[:, 0] - 1, nodes[:, 1]), axis=1).clip(0, n - 2)
+                couple = np.repeat(offsq[pairs], rows.size, axis=1)
+            else:
+                couple = [offsq] * (hi - lo)
             for j in range(hi - lo):
                 qj = q[j]
-                if prev is not None:
-                    np.divide(couple[j], prev, out=tmp)
-                    if lo + j == cut or lo + j == cut + 1:
-                        tmp[cut_rows] = 0.0
-                    np.subtract(qj, tmp, out=qj)
+                np.divide(couple[j], prev, out=tmp)
+                np.subtract(qj, tmp, out=qj)
                 prev = qj
-            negative = q < 0
-            zero = q == 0.0
-            if lo <= cut < hi:
-                negative[cut - lo, cut_rows] = False
-                zero[cut - lo, cut_rows] = False
-            counts += np.count_nonzero(negative, axis=0)
-            hit_zero |= zero.any(axis=0)
-    return counts, hit_zero
+            halves += np.count_nonzero(q < 0, axis=0)
+            hit_zero |= (q == 0.0).any(axis=0)
+        q_c = source.block(rows, np.array([centre]))[0]
+        if shift:
+            q_c -= shift
+        if centre > 0:
+            q_c -= (offsq[centre - 1] if per_node else offsq) / prev[:rows.size]
+        if centre < n - 1:
+            q_c -= (offsq[centre] if per_node else offsq) / prev[rows.size:]
+    halves = halves[:rows.size] + halves[rows.size:]
+    return (halves + (q_c < 0), halves, hit_zero[:rows.size] | hit_zero[rows.size:],
+            q_c == 0.0)
 
 
-def _pivot_counts(source, offsq, shift: float = 0.0, cut: int | None = None,
-                  cut_rows: Sequence[int] = ()) -> np.ndarray:
-    """Negative-eigenvalue counts of every row of ``source``: the batched
-    Sturm kernel behind every 1D count and the radial 2D counts.
+def _pivot_counts(source, offsq, centre: int | None = None, shift: float = 0.0
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """(Negative-eigenvalue counts of every row of ``source``, the same
+    counts with the node ``centre`` deleted): the batched Sturm kernel
+    behind every 1D count and the radial 2D counts.  ``centre`` defaults to
+    the middle node.
 
     Rows share the squared offdiagonals (a scalar or one value per node
     pair).  Exact zero pivots are a measure-zero event; only the affected
     rows are recomputed at the fixed shift ZERO_PIVOT_SHIFT and the
-    perturbation is logged, which keeps repeated runs deterministic.
+    perturbation is logged, which keeps repeated runs deterministic.  A zero
+    at the centre alone redoes only the row's full count: the count with the
+    centre deleted never reads that pivot.
     """
     n_rows, n = source.shape
-    offsq = np.broadcast_to(np.asarray(offsq, dtype=float), (max(n - 1, 0),))
-    cut_rows = np.asarray(cut_rows, dtype=np.intp)
-    rows = np.arange(n_rows)
-    counts, hit_zero = _pivot_pass(source, rows, offsq, shift, cut, cut_rows)
-    if np.any(hit_zero):
-        redo_rows = np.flatnonzero(hit_zero)
+    offsq = np.asarray(offsq, dtype=float) if np.ndim(offsq) else float(offsq)
+    if centre is None:
+        centre = n // 2
+    full, halves, zero_halves, zero_centre = _pivot_pass(source, np.arange(n_rows), offsq,
+                                                         centre, shift)
+    if np.any(zero_halves | zero_centre):
+        redo_rows = np.flatnonzero(zero_halves | zero_centre)
         log.warning("Sturm recurrence hit exact zero pivots in %d row(s); "
                     "retrying at shift %g", redo_rows.size, shift + ZERO_PIVOT_SHIFT)
-        redo_cut = np.flatnonzero(np.isin(redo_rows, cut_rows))
-        redo, again = _pivot_pass(source, redo_rows, offsq, shift + ZERO_PIVOT_SHIFT,
-                                  cut, redo_cut)
-        if np.any(again):
+        redo_full, redo_halves, again_halves, again_centre = _pivot_pass(
+            source, redo_rows, offsq, centre, shift + ZERO_PIVOT_SHIFT)
+        if np.any(again_halves | again_centre):
             raise NumericalError("zero pivot persisted after the fixed perturbation")
-        counts[redo_rows] = redo
-    return counts
+        full[redo_rows] = redo_full
+        halves[redo_rows] = np.where(zero_halves[redo_rows], redo_halves, halves[redo_rows])
+    return full, halves
 
 
 def tridiagonal_negative_count(diag, offdiag, shift: float = 0.0) -> int:
@@ -272,14 +303,15 @@ def tridiagonal_negative_count(diag, offdiag, shift: float = 0.0) -> int:
         raise ValueError("offdiagonal length must be len(diag) - 1")
     if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(offdiag))):
         raise NonFiniteError("matrix entries must be finite")
-    return int(_pivot_counts(_ExplicitRows(diag[None, :]), offdiag * offdiag, shift)[0])
+    return int(_pivot_counts(_ExplicitRows(diag[None, :]), offdiag * offdiag, shift=shift)[0][0])
 
 
-def block_negative_counts(diags: np.ndarray, offsq: float, cut: int | None = None) -> np.ndarray:
-    """Counts of tridiagonals given row by row in ``diags`` that share the
-    squared offdiagonal ``offsq``; with ``cut``, row 0 loses that node."""
-    return _pivot_counts(_ExplicitRows(np.asarray(diags, dtype=float)), offsq,
-                         cut=cut, cut_rows=[0] if cut is not None else ())
+def block_negative_counts(diags: np.ndarray, offsq: float, centre: int | None
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """(Counts, counts with the node ``centre`` deleted) of tridiagonals given
+    row by row in ``diags`` that share the squared offdiagonal ``offsq``;
+    ``centre`` None cuts at the middle node."""
+    return _pivot_counts(_ExplicitRows(np.asarray(diags, dtype=float)), offsq, centre)
 
 
 def _channel_diags(G, alpha: float, ms: Sequence[int], grid: Grid1D) -> np.ndarray:
@@ -289,25 +321,22 @@ def _channel_diags(G, alpha: float, ms: Sequence[int], grid: Grid1D) -> np.ndarr
     return kin + (m2[:, None] - alpha * gvals[None, :])
 
 
-def channel_row_counts(gvals: np.ndarray, grid: Grid1D, alphas, ms,
-                       cut_rows: Sequence[int] = ()) -> np.ndarray:
+def channel_row_counts(gvals: np.ndarray, grid: Grid1D, alphas, ms
+                       ) -> tuple[np.ndarray, np.ndarray]:
     """Counts of the channel operators -w'' + m^2 w - alpha G w, one (alpha,
     m) pair per row, all in one kernel call on the samples ``gvals`` of G
-    at the interior nodes of ``grid``.  In ``cut_rows`` the t = 0 node is
-    deleted, which splits that row into the two half-line blocks of M."""
+    at the interior nodes of ``grid``: (the counts, the counts with the
+    t = 0 node deleted).  The second are the two half-line blocks, so for
+    m = 0 the count of M; on a grid without a t = 0 node they delete the
+    middle interior node instead."""
     alphas = np.asarray(alphas, dtype=float)
     if alphas.size and float(np.min(alphas)) < 0:
         raise ValueError("coupling must be non-negative")
-    cut = None
-    if len(cut_rows):
-        cut = grid.zero_index
-        if cut is None:
-            raise ValueError("deleting t=0 needs a grid node at t=0")
     m2 = np.asarray([float(m * m) for m in ms])
     source = _ChannelRows(kin=2.0 / (grid.h * grid.h), m2=m2, alphas=alphas,
                           gvals=np.asarray(gvals, dtype=float))
     off = -1.0 / grid.h ** 2
-    return _pivot_counts(source, off * off, cut=cut, cut_rows=cut_rows)
+    return _pivot_counts(source, off * off, grid.zero_index)
 
 
 def _g_samples(G, grid: Grid1D) -> np.ndarray:
@@ -319,12 +348,12 @@ def count_M(G: EffectivePotential | Callable, alpha: float, grid: Grid1D) -> int
     Dirichlet blocks obtained by deleting the t = 0 node."""
     if not grid.has_node_at_zero:
         raise ValueError("count_M needs a grid node at t=0")
-    return int(channel_row_counts(_g_samples(G, grid), grid, [alpha], [0], cut_rows=[0])[0])
+    return int(channel_row_counts(_g_samples(G, grid), grid, [alpha], [0])[1][0])
 
 
 def count_channel(G: EffectivePotential | Callable, alpha: float, m: int, grid: Grid1D) -> int:
     """N_-( -w'' + m^2 w - alpha G w ) on the truncated line, Dirichlet ends."""
-    return int(channel_row_counts(_g_samples(G, grid), grid, [alpha], [int(m)])[0])
+    return int(channel_row_counts(_g_samples(G, grid), grid, [alpha], [int(m)])[0][0])
 
 
 def count_channels(G, alpha: float, ms: Sequence[int], grid: Grid1D) -> np.ndarray:
@@ -333,7 +362,7 @@ def count_channels(G, alpha: float, ms: Sequence[int], grid: Grid1D) -> np.ndarr
     ms = list(ms)
     if not ms:
         return np.zeros(0, dtype=np.int64)
-    return channel_row_counts(_g_samples(G, grid), grid, np.full(len(ms), float(alpha)), ms)
+    return channel_row_counts(_g_samples(G, grid), grid, np.full(len(ms), float(alpha)), ms)[0]
 
 
 def radial_m_max(gvals: np.ndarray, alpha: float) -> int:
@@ -350,9 +379,10 @@ def radial_counts(G: EffectivePotential | Callable, alphas, grid: Grid1D) -> np.
     one grid, shape (len(alphas), 3), from a single kernel call.
 
     Each alpha contributes the channels m = 0..m_max (cutoff from the grid
-    maximum of G), every m >= 1 weighted twice for its cos and sin copies,
-    plus the m = 0 row with the t = 0 node deleted, which is M.  The
-    constrained count is N_-(M) plus the m >= 1 channels.
+    maximum of G), every m >= 1 weighted twice for its cos and sin copies.
+    N_-(M) is the m = 0 row's count with the t = 0 node deleted, which the
+    kernel's split pass gives with the full count, and the constrained
+    count is N_-(M) plus the m >= 1 channels.
     """
     return radial_sample_counts(_g_samples(G, grid), alphas, grid)
 
@@ -366,15 +396,12 @@ def radial_sample_counts(gvals: np.ndarray, alphas, grid: Grid1D) -> np.ndarray:
     if alphas.size == 0:
         return np.zeros((0, 3), dtype=np.int64)
     tops = [radial_m_max(gvals, float(alpha)) for alpha in alphas]
-    # per alpha: the M row, then the channels m = 0..m_max
-    ms = np.concatenate([np.arange(-1, top + 1) for top in tops]).clip(min=0)
-    sizes = np.asarray(tops) + 2
-    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    counts = channel_row_counts(gvals, grid, np.repeat(alphas, sizes), ms, cut_rows=starts)
-    n_m = counts[starts]
-    pairs = np.add.reduceat(np.where(ms >= 1, 2 * counts, 0), starts)
-    n_2d = np.add.reduceat(np.where(ms == 0, counts, 0), starts) - n_m + pairs
-    return np.stack([n_2d, n_m + pairs, n_m], axis=1)
+    ms = np.concatenate([np.arange(top + 1) for top in tops])
+    starts = np.concatenate(([0], np.cumsum(np.asarray(tops) + 1)[:-1]))
+    full, halves = channel_row_counts(gvals, grid, np.repeat(alphas, np.asarray(tops) + 1), ms)
+    n_m = halves[starts]
+    pairs = np.add.reduceat(np.where(ms >= 1, 2 * full, 0), starts)
+    return np.stack([full[starts] + pairs, n_m + pairs, n_m], axis=1)
 
 
 def birman_schwinger_1d(G: EffectivePotential | Callable, eps: float, grid: Grid1D) -> int:

@@ -263,14 +263,14 @@ def _negatives(w: np.ndarray, where: Sequence[int]) -> int:
 
 def _count_block_diagonal(sys: BlockSystem2D) -> tuple[int, int | None]:
     """Both counts of a block-diagonal system (pinned channel sets,
-    ``count_tilde`` and the verification suites) in one kernel call: a pivot
-    sweep per channel, and one of the constant channel cut at t = 0."""
+    ``count_tilde`` and the verification suites) in one kernel call: a split
+    pivot sweep per channel, whose halves are the constant channel cut at
+    t = 0."""
     off = -1.0 / sys.grid.h ** 2
     zero = sys.grid.zero_index
-    counts = block_negative_counts(np.vstack((sys.chan_diag[:1], sys.chan_diag)), off * off,
-                                   cut=zero)
-    full = int(np.sum(counts[1:]))
-    return full, None if zero is None else full - int(counts[1]) + int(counts[0])
+    full, halves = block_negative_counts(sys.chan_diag, off * off, zero)
+    total = int(np.sum(full))
+    return total, None if zero is None else total - int(full[0]) + int(halves[0])
 
 
 def _eigh_inverses(D: np.ndarray, where: Sequence[int]) -> tuple[int, np.ndarray]:
@@ -571,8 +571,8 @@ def count_radial_2d(v_rad: RadialProfile | EffectivePotential | Callable,
     gvals = np.asarray(G(grid.interior), dtype=float)
     if m_max is None:
         m_max = radial_m_max(gvals, alpha)
-    counts = channel_row_counts(gvals, grid, np.full(m_max + 1, float(alpha)),
-                                np.arange(m_max + 1))
+    counts, _ = channel_row_counts(gvals, grid, np.full(m_max + 1, float(alpha)),
+                                   np.arange(m_max + 1))
     return int(counts[0] + 2 * np.sum(counts[1:]))
 
 

@@ -52,38 +52,52 @@ def dense_negative_count(diag, offdiag):
     return int(np.sum(np.linalg.eigvalsh(A) < 0))
 
 
-def reference_sturm_pass(diag, offsq, shift=0.0, cut=None):
-    """Scalar Sturm pivot recurrence for one tridiagonal, the batched kernel's
-    reference: pivots q_i = (d_i - shift) - offsq[i-1] / q_{i-1}.  With
-    ``cut`` that node is deleted and the rest counted as two blocks.
-    Returns (negative pivots, whether a pivot was exactly zero)."""
+def reference_sturm_pass(diag, offsq, shift=0.0, centre=None):
+    """Scalar split Sturm pivot recurrence for one tridiagonal, the batched
+    kernel's reference.  The row is cut at ``centre`` (default the middle
+    node): the left half runs q_i = (d_i - shift) - offsq[i-1] / q_{i-1}
+    from node 0 up, the right half q_i = (d_i - shift) - offsq[i] / q_{i+1}
+    from the last node down, and the centre closes the row with
+    q_c = (d_c - shift) - offsq[c-1] / q_{c-1} - offsq[c] / q_{c+1}.
+    Returns (negative pivots, negative pivots of the halves, whether a half
+    pivot was exactly zero, whether the centre pivot was)."""
     n = len(diag)
-    blocks = [range(n)] if cut is None else [range(cut), range(cut + 1, n)]
-    count, zero = 0, False
+    c = n // 2 if centre is None else centre
+    halves, zero = 0, False
+    q_c = np.float64(diag[c]) - shift
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for block in blocks:
-            q = None
-            for i in block:
+        for half in (range(c), range(n - 1, c, -1)):
+            q = prev = None
+            for i in half:
                 d = np.float64(diag[i]) - shift
-                q = d if q is None else d - np.float64(offsq[i - 1]) / q
-                count += bool(q < 0)
+                q = d if q is None else d - np.float64(offsq[min(i, prev)]) / q
+                prev = i
+                halves += bool(q < 0)
                 zero |= bool(q == 0.0)
-    return count, zero
+            if q is not None:
+                q_c = q_c - np.float64(offsq[min(c, prev)]) / q
+    return halves + bool(q_c < 0), halves, zero, bool(q_c == 0.0)
 
 
-def reference_sturm_count(diag, offsq, shift=0.0, cut=None):
-    """reference_sturm_pass, recounted at the kernel's fixed retry shift when
-    a pivot was exactly zero."""
-    count, zero = reference_sturm_pass(diag, offsq, shift, cut)
-    if zero:
-        count, zero = reference_sturm_pass(diag, offsq, shift - 1e-12, cut)
-        assert not zero, "zero pivot persisted in the reference"
-    return count
+def reference_sturm_count(diag, offsq, shift=0.0, centre=None):
+    """(Count, count with the centre deleted) by reference_sturm_pass, each
+    recounted at the kernel's fixed retry shift when a pivot it reads was
+    exactly zero: the full count on any zero, the deleted count on a zero
+    in a half."""
+    full, halves, zero_halves, zero_centre = reference_sturm_pass(diag, offsq, shift, centre)
+    if zero_halves or zero_centre:
+        redo = reference_sturm_pass(diag, offsq, shift - 1e-12, centre)
+        assert not (redo[2] or redo[3]), "zero pivot persisted in the reference"
+        full = redo[0]
+        if zero_halves:
+            halves = redo[1]
+    return full, halves
 
 
 def reference_radial_values(G, alpha, grid):
     """(N_-(H), N_-(H~), N_-(M)) of a radial potential on one grid by the
-    scalar recurrence, each channel m >= 1 counted once per cos/sin copy."""
+    scalar recurrence, each channel m >= 1 counted once per cos/sin copy and
+    N_-(M) the m = 0 channel with its t = 0 node deleted."""
     gvals = np.asarray(G(grid.interior), dtype=float)
     h = grid.h
     kin = 2.0 / (h * h)
@@ -92,9 +106,11 @@ def reference_radial_values(G, alpha, grid):
     sup = float(np.max(gvals))
     m_max = int(math.ceil(math.sqrt(alpha * sup))) if sup > 0 and alpha > 0 else 0
     ms = [0] + [m for k in range(1, m_max + 1) for m in (k, k)]
-    counts = [reference_sturm_count(kin + (float(m * m) - alpha * gvals), offsq) for m in ms]
-    n_m = reference_sturm_count(kin + (0.0 - alpha * gvals), offsq, cut=grid.zero_index)
-    return sum(counts), n_m + sum(counts[1:]), n_m
+    counts = [reference_sturm_count(kin + (float(m * m) - alpha * gvals), offsq,
+                                    centre=grid.zero_index) for m in ms]
+    full = [c[0] for c in counts]
+    n_m = counts[0][1]
+    return sum(full), n_m + sum(full[1:]), n_m
 
 
 def reference_radial_sweep(G, alphas, policy):

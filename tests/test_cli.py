@@ -419,6 +419,19 @@ def test_report_on_a_sweep_csv_without_rows_exits_2(tmp_path, capsys, text):
     assert capsys.readouterr().err == f"config error: {path}: no sweep rows found\n"
 
 
+def test_report_estim_on_a_zero_bound_under_counts_above_1_exits_2(tmp_path, capsys):
+    # the file's bound_b contradicts its own counts: a config error naming it
+    path = tmp_path / "sweep.csv"
+    lines = [line.replace("# bound_b=1.5", "# bound_b=0.0") for line in SWEEP_LINES[:6]]
+    path.write_text("\n".join(lines) + "\n")
+    assert cli.main(["report", "--in", str(path), "--check", "estim"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"config error: {path}: bound functional vanishes but counts "
+                            "exceed 1: hypotheses violated or numerics wrong\n")
+    assert cli.main(["report", "--in", str(path), "--check", "as2"]) == 0
+
+
 def test_report_on_a_binary_file_exits_2(tmp_path, capsys):
     path = tmp_path / "sweep.csv"
     path.write_bytes(b"# weyl=0.25\n\xff\xfe\x00\n")
@@ -616,6 +629,23 @@ def test_verify_fuzz_passes_at_any_seed_and_rejects_negative_ones(capsys):
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
         assert captured.err.startswith(f"config error: bad --seed value {seed}")
+
+
+@pytest.mark.parametrize("verbose", [True, False])
+def test_verbose_flag_shows_the_info_lines(tmp_path, capsys, verbose):
+    # on this small domain the count of M grows from level 0 to level 1
+    doc = dict(GAUSSIAN_CONFIG, grid_policy={"t_half": 1.0, "n": 41, "max_doublings": 1,
+                                             "agreements": 1})
+    argv = ["count1d", "--config", write_config(tmp_path, doc), "--alpha", "50"]
+    assert cli.main(["-v"] * verbose + argv) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["converged"] is False
+    line = ("INFO boundcount.spectra1d: count did not stabilize after 1 domain doublings: "
+            "[1, 2]\n")
+    assert captured.err == (line if verbose else "")
+    # the handler lives for one call only
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_version_and_bad_subcommand(capsys):

@@ -9,8 +9,8 @@ import boundcount as bc
 from boundcount import spectra1d
 from boundcount.errors import NonFiniteError
 
-from helpers import (dense_negative_count, reference_sturm_count, reference_sturm_pass,
-                     shooting_negative_count)
+from helpers import (dense_negative_count, reference_radial_values, reference_sturm_count,
+                     reference_sturm_pass, shooting_negative_count)
 
 
 # ---------------------------------------------------------------- grids
@@ -46,58 +46,136 @@ def test_negative_count_rejects_nonfinite_entries():
 
 def test_negative_count_random_vs_dense():
     rng = np.random.default_rng(123)
-    for _ in range(30):
-        n = int(rng.integers(2, 250))
+    for n in [1, 2, 3, 4, 5, 6, 7] + [int(k) for k in rng.integers(8, 300, 23)]:
         diag = rng.normal(0.0, 2.0, n)
         off = rng.normal(0.0, 1.5, n - 1)
         assert bc.tridiagonal_negative_count(diag, off) == dense_negative_count(diag, off)
 
 
+def _dense_counts(diag, offsq, centre):
+    """(N_-, N_- with node ``centre`` deleted) of one tridiagonal by eigvalsh."""
+    off = np.sqrt(offsq)
+    A = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    keep = np.arange(len(diag)) != centre
+    return (int(np.sum(np.linalg.eigvalsh(A) < 0)),
+            int(np.sum(np.linalg.eigvalsh(A[np.ix_(keep, keep)]) < 0)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 50, 51, 255, 256, 257, 299, 300])
+def test_split_kernel_matches_eigvalsh(n):
+    # per-node offdiagonals (the right half reads them reversed), the middle
+    # centre and off-middle ones, whose halves differ in length
+    rng = np.random.default_rng(n)
+    diags = rng.normal(0.0, 2.0, (4, n))
+    offsq = rng.uniform(0.1, 3.0, n - 1)
+    for centre in sorted({n // 2, 0, n - 1, int(rng.integers(n))}):
+        full, halves = spectra1d._pivot_counts(spectra1d._ExplicitRows(diags), offsq,
+                                               None if centre == n // 2 else centre)
+        want = [_dense_counts(d, offsq, centre) for d in diags]
+        assert list(zip(full.tolist(), halves.tolist())) == want, centre
+
+
+@pytest.mark.parametrize("grid", [bc.Grid1D(-4.0, 4.0, 40), bc.Grid1D(0.5, 3.5, 31),
+                                  bc.Grid1D(-3.0, 5.0, 700), bc.Grid1D(-2.5, 1.0, 4)])
+def test_channel_counts_on_grids_without_a_zero_node(grid):
+    # the kernel cuts at the middle interior node; with an even interior count
+    # the halves differ in length
+    assert grid.zero_index is None
+    G = bc.effective_potential(bc.decompose(bc.gaussian_well(1.0, 1.0)))
+    t = grid.interior
+    off = np.full(t.size - 1, -1.0 / grid.h ** 2)
+    for alpha, m in ((30.0, 0), (30.0, 2), (200.0, 1)):
+        diag = 2.0 / grid.h ** 2 + (m * m - alpha * G(t))
+        assert bc.count_channel(G, alpha, m, grid) == dense_negative_count(diag, off)
+
+
 def test_zero_pivot_retry_is_deterministic():
-    # [[1, 2], [2, 4]] has eigenvalues {0, 5}: the second pivot is exactly 0
+    # [[1, 2], [2, 4]] has eigenvalues {0, 5}: the centre pivot is exactly 0
     c1 = bc.tridiagonal_negative_count([1.0, 4.0], [2.0])
     c2 = bc.tridiagonal_negative_count([1.0, 4.0], [2.0])
     assert c1 == c2 == 0
     assert bc.tridiagonal_negative_count([0.0], []) == 0
 
 
-def _zero_pivot_row(rng, n, at, offsq):
-    """Random diagonal whose pivot at node ``at`` is exactly 0.0."""
-    diag = rng.normal(0.0, 2.0, n)
-    q = diag[0]
-    for i in range(1, at):
-        q = diag[i] - offsq[i - 1] / q
-    diag[at] = offsq[at - 1] / q
-    return diag
+def _end_pivot(diag, offsq, nodes):
+    """Pivot of the last of ``nodes`` when the recurrence runs along them from
+    a Dirichlet end."""
+    q = prev = None
+    for i in nodes:
+        q = diag[i] if q is None else diag[i] - offsq[min(i, prev)] / q
+        prev = i
+    return q
+
+
+def _zero_pivot_row(rng, n, at, offsq, centre):
+    """Random diagonal whose pivot at node ``at`` is exactly 0.0 in the split
+    order cut at ``centre``: on the left half (``at`` < centre), on the right
+    half (``at`` > centre) or at the centre itself."""
+    while True:
+        diag = rng.normal(0.0, 2.0, n)
+        if at < centre:
+            diag[at] = offsq[at - 1] / _end_pivot(diag, offsq, range(at))
+            return diag
+        if at > centre:
+            diag[at] = offsq[at] / _end_pivot(diag, offsq, range(n - 1, at, -1))
+            return diag
+        # the centre: (d_c - left) - right must round to exactly 0
+        left = offsq[at - 1] / _end_pivot(diag, offsq, range(at)) if at > 0 else 0.0
+        right = (offsq[at] / _end_pivot(diag, offsq, range(n - 1, at, -1))
+                 if at < n - 1 else 0.0)
+        d = left + right
+        for _ in range(4):
+            if (d - left) - right == 0.0:
+                diag[at] = d
+                return diag
+            d = np.nextafter(d, np.inf if (d - left) - right < 0 else -np.inf)
 
 
 @pytest.mark.parametrize("n, cut", [(40, 17), (700, 255), (700, 256), (700, 511), (9, 0), (9, 8)])
-def test_kernel_matches_scalar_reference(n, cut, caplog):
-    # a batch longer than one node chunk when n = 700, cut on both sides of
-    # a chunk boundary, rows forced onto exact zero pivots (before, at and
-    # after the cut) and rows whose decoupled node itself is zero
+def test_kernel_matches_scalar_reference(n, cut, caplog, monkeypatch):
+    # rows cut at ``cut``: halves longer than one step chunk when n = 700,
+    # halves of different lengths (padding across a chunk boundary at 511, an
+    # empty half at 0 and 8), and rows forced onto exact zero pivots on the
+    # left half, on the right half and at the centre
     rng = np.random.default_rng(n + cut)
     offsq = rng.uniform(0.1, 3.0, n - 1)
     rows = [rng.normal(0.0, 2.0, n) for _ in range(5)]
-    for at in {1, max(cut - 1, 1), min(cut + 2, n - 1), n - 1}:
-        rows.append(_zero_pivot_row(rng, n, at, offsq))
-    decoupled_zero = rng.normal(0.0, 2.0, n)
-    decoupled_zero[cut] = 0.0
-    rows.append(decoupled_zero)
+    at_nodes = sorted({1, max(cut - 1, 1), min(cut + 2, n - 1), n - 2, cut} - {0})
+    for at in at_nodes:
+        rows.append(_zero_pivot_row(rng, n, at, offsq, cut))
     diags = np.array(rows)
-    cut_rows = [0, 2, len(rows) - 2, len(rows) - 1]
-    want = [reference_sturm_count(d, offsq, cut=cut if r in cut_rows else None)
-            for r, d in enumerate(diags)]
-    got = spectra1d._pivot_counts(spectra1d._ExplicitRows(diags), offsq, cut=cut,
-                                  cut_rows=cut_rows)
-    assert got.tolist() == want
-    # only the rows that hit a zero are redone; a zero on the decoupled node is not one
-    zeros = [reference_sturm_pass(d, offsq, cut=cut if r in cut_rows else None)[1]
-             for r, d in enumerate(diags)]
-    assert 0 < sum(zeros) and not zeros[-1]
+    passes = []
+    real_pass = spectra1d._pivot_pass
+
+    def spy(source, rows, *args):
+        passes.append(rows.tolist())
+        return real_pass(source, rows, *args)
+
+    monkeypatch.setattr(spectra1d, "_pivot_pass", spy)
+    full, halves = spectra1d._pivot_counts(spectra1d._ExplicitRows(diags), offsq, cut)
+    want = [reference_sturm_count(d, offsq, centre=cut) for d in diags]
+    assert list(zip(full.tolist(), halves.tolist())) == want
+    # only the rows that hit a zero are redone, after one log line
+    zeros = [r for r, d in enumerate(diags) if any(reference_sturm_pass(d, offsq, centre=cut)[2:])]
+    assert zeros == list(range(5, len(rows)))
+    assert passes == [list(range(len(rows))), zeros]
     retried = [rec.getMessage() for rec in caplog.records if "zero pivots" in rec.getMessage()]
-    assert retried == [f"Sturm recurrence hit exact zero pivots in {sum(zeros)} row(s); "
+    assert retried == [f"Sturm recurrence hit exact zero pivots in {len(zeros)} row(s); "
                        "retrying at shift -1e-12"]
+
+
+def test_a_zero_at_the_centre_keeps_the_deleted_count(caplog):
+    # the left half is node 0 alone, with eigenvalue -1e-13: negative at
+    # shift 0 and not at the retry shift -1e-12; node 1, the centre, closes
+    # the row on an exact zero pivot
+    offsq = np.array([0.7])
+    diag = np.array([-1e-13, offsq[0] / -1e-13])
+    full, halves = spectra1d._pivot_counts(spectra1d._ExplicitRows(diag[None, :]), offsq)
+    assert "zero pivots in 1 row(s)" in caplog.text
+    _, _, zero_halves, zero_centre = reference_sturm_pass(diag, offsq)
+    assert zero_centre and not zero_halves
+    assert (int(full[0]), int(halves[0])) == reference_sturm_count(diag, offsq) == (1, 1)
+    assert reference_sturm_pass(diag, offsq, -1e-12)[1] == 0
 
 
 def test_kernel_single_rows_match_reference():
@@ -106,16 +184,16 @@ def test_kernel_single_rows_match_reference():
         n = int(rng.integers(1, 600))
         diag = rng.normal(0.0, 2.0, n)
         off = rng.normal(0.0, 1.5, n - 1)
-        assert bc.tridiagonal_negative_count(diag, off) == reference_sturm_count(diag, off * off)
+        assert bc.tridiagonal_negative_count(diag, off) == reference_sturm_count(diag, off * off)[0]
 
 
-def test_block_counts_split_only_the_cut_row():
+def test_block_counts_give_both_counts_of_every_row():
     rng = np.random.default_rng(11)
     diags = rng.normal(0.0, 2.0, (4, 300))
-    counts = spectra1d.block_negative_counts(diags, 0.8, cut=150)
+    full, halves = spectra1d.block_negative_counts(diags, 0.8, 150)
     offsq = np.full(299, 0.8)
-    assert counts.tolist() == [reference_sturm_count(diags[0], offsq, cut=150)] + [
-        reference_sturm_count(d, offsq) for d in diags[1:]]
+    assert list(zip(full.tolist(), halves.tolist())) == [
+        reference_sturm_count(d, offsq, centre=150) for d in diags]
 
 
 @pytest.mark.parametrize("n", [6000, 6001, 200, 201, 4, 3])
@@ -214,6 +292,19 @@ def test_count_channels_batch_matches_single(default_grid):
     batch = bc.count_channels(G, 40.0, ms, default_grid)
     singles = [bc.count_channel(G, 40.0, m, default_grid) for m in ms]
     assert list(batch) == singles
+
+
+@pytest.mark.parametrize("spec", [bc.gaussian_well(1.0, 1.0), bc.disk_well(1.0, 1.0),
+                                  bc.log_borderline(1.0)], ids=["gaussian", "disk", "log"])
+def test_radial_counts_match_the_reference_on_every_level(spec):
+    # N_-(M) and N_-(H~) come from the halves of the m = 0 row, not a row of their own
+    G = bc.effective_potential(bc.decompose(spec))
+    policy = bc.GridPolicy(t_half=4.0, n=401, max_doublings=2)
+    alphas = [0.5, 7.0, 40.0, 200.0]
+    for level in range(policy.max_doublings + 1):
+        grid = policy.level_grid(level)
+        got = spectra1d.radial_sample_counts(G(grid.interior), alphas, grid)
+        assert got.tolist() == [list(reference_radial_values(G, a, grid)) for a in alphas]
 
 
 def test_birman_schwinger_identity_random():

@@ -322,6 +322,25 @@ def test_pair_on_a_grid_without_a_zero_node():
             assert bc.count_full_2d(path) == (full, None)
 
 
+@pytest.mark.parametrize("grid", [bc.Grid1D.symmetric(4.0, 41), bc.Grid1D.symmetric(3.0, 62),
+                                  bc.Grid1D(-4.0, 4.0, 40), bc.Grid1D(-1.0, 3.0, 35)])
+def test_block_diagonal_pair_matches_dense_counts(grid):
+    # both counts from the split rows of one kernel call: N_-(H~) is the
+    # constant channel's halves, with no row of its own
+    specs = [bc.gaussian_well(1.0, 1.0), bc.disk_well(1.0, 0.8), bc.log_borderline(0.5)]
+    seen = 0
+    for spec in specs:
+        for alpha, m_max in ((3.0, 0), (12.0, 2), (40.0, 3)):
+            sys_ = bc.assemble_full_2d(spec, alpha, grid, channels=m_max)
+            assert sys_.is_block_diagonal
+            full, tilde = spectra2d._count_block_diagonal(sys_)
+            assert (full, tilde) == dense_pair(sys_), (spec.label, alpha)
+            if tilde is not None:
+                assert tilde <= full <= tilde + 1
+                seen += full - tilde
+    assert seen > 0 or grid.zero_index is None
+
+
 def test_block_sweep_retries_an_exactly_singular_pivot_at_the_shift(caplog):
     # slice 0 is diagonal with an exact zero: the first sweep stops there
     grid = bc.Grid1D.symmetric(2.0, 7)
