@@ -9,6 +9,7 @@ every file output gets a sidecar manifest with the config hash and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -170,14 +171,17 @@ def cmd_norms(args) -> int:
 
 def cmd_count1d(args) -> int:
     config = load_config(args.config)
+    grid = _parse_grid(args.grid) if args.grid else None
+    if grid is not None and args.m is None and not grid.has_node_at_zero:
+        raise ConfigError(f"bad --grid value {args.grid!r} (counting M without --m needs "
+                          "an interior node at t = 0)")
     dec = decompose(config.spec, config.angular_nodes)
     G = effective_potential(dec)
     if args.m is None:
         counter = lambda grid: count_M(G, args.alpha, grid)
     else:
         counter = lambda grid: count_channel(G, args.alpha, args.m, grid)
-    if args.grid:
-        grid = _parse_grid(args.grid)
+    if grid is not None:
         count = counter(grid)
         result = CountResult(count=count, converged=False,
                              levels=((grid.t_max, grid.n, count),))
@@ -297,7 +301,11 @@ def cmd_verify(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it:
+    parsing leaves it unchanged, and building it costs more than a small
+    request."""
     parser = argparse.ArgumentParser(
         prog="boundcount",
         description="Negative-eigenvalue counts for 2D Schrodinger operators "

@@ -8,18 +8,19 @@ estimate asserts N_- <= 1 + C(p) alpha B with an unspecified constant, so
 only B and empirical ratios are ever reported.
 
 zhat, the Weyl coefficient and the L1Lp norm integrate over the line t = ln r
-by one rule, ``_line_shells``: the piece over (-1, 1), then unit shells in
+by one rule, ``_line_pieces``: the piece over (-1, 1), then unit shells in
 s = ln|t|, each split at the integrand's support edges.  zhat keeps J + 1
-pieces; the other two add shells until two in a row are quiet, within
-MAX_SHELLS (|t| up to e^600), so tails as slow as 1/(t^2 ln t) settle.
+pieces and bisects its J shells together, in one batched quadrature call;
+the other two add shells one at a time until two in a row are quiet, within
+MAX_SHELLS (|t| up to e^600), so tails as slow as 1/(t^2 ln t) settle and
+nothing past the stopping shell is evaluated.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -35,44 +36,52 @@ REL_TOL = 1e-8
 MAX_SHELLS = 600
 
 
-def _split_integral(f: Callable, a: float, b: float, cuts, interval_id=None) -> float:
-    """adaptive_integral over [a, b] in pieces split at the ``cuts`` inside
-    it: a jump between a panel's outermost node and its edge is invisible to
-    the bisection estimate, so the jumps of f must be panel edges."""
-    points = [a, *sorted({c for c in cuts if a < c < b}), b]
-    value = 0.0
-    for lo, hi in zip(points, points[1:]):
-        value += adaptive_integral(f, lo, hi, REL_TOL, interval_id=interval_id)[0]
-    return value
+def _split_integrals(f: Callable, spans, cuts, ids) -> list[float]:
+    """int f over each span (a, b), all by one adaptive_integral call, each
+    span in pieces split at the ``cuts`` inside it: a jump between a panel's
+    outermost node and its edge is invisible to the bisection estimate, so
+    the jumps of f must be panel edges.  A QuadratureError's ``interval`` is
+    the id of the span that did not converge."""
+    lo, hi, owner = [], [], []
+    for n, (a, b) in enumerate(spans):
+        points = [a, *sorted({c for c in cuts if a < c < b}), b]
+        lo += points[:-1]
+        hi += points[1:]
+        owner += [n] * (len(points) - 1)
+    pieces = adaptive_integral(f, lo, hi, REL_TOL, interval_id=[ids[n] for n in owner])[0]
+    values = [0.0] * len(spans)
+    for n, piece in zip(owner, pieces.tolist()):
+        values[n] += piece
+    return values
 
 
-def _line_shells(g: Callable, edges, power: float) -> Iterator[float]:
+def _line_pieces(g: Callable, edges, power: float) -> tuple[float, Callable]:
     """The pieces of an integral of g over the line.
 
-    First int_{-1}^{1} g dt, then for j = 1, 2, ... the shell
+    First int_{-1}^{1} g dt, then a function giving, for shells j = 1, 2, ...,
     int_{j-1}^{j} e^{power s} [g(e^s) + g(-e^s)] ds, which is the part
-    e^{j-1} < |t| < e^j of int |t|^{power-1} g dt.  Panels are split at the
-    ``edges``, the t where g may jump.
+    e^{j-1} < |t| < e^j of int |t|^{power-1} g dt.  The shells asked for
+    together are bisected together.  Panels are split at the ``edges``, the
+    t where g may jump.
     """
-    yield _split_integral(g, -1.0, 1.0, edges, interval_id=0)
+    centre, = _split_integrals(g, [(-1.0, 1.0)], edges, [0])
     cuts = [math.log(abs(t)) for t in edges if abs(t) > 1.0]
 
     def shell(s):
         t = np.exp(s)
         return np.exp(power * s) * (np.asarray(g(t), dtype=float) + np.asarray(g(-t), dtype=float))
 
-    for j in itertools.count(1):
-        yield _split_integral(shell, float(j - 1), float(j), cuts, interval_id=j)
+    return centre, lambda js: _split_integrals(
+        shell, [(float(j - 1), float(j)) for j in js], cuts, js)
 
 
 def _line_integral(g: Callable, edges, what: str) -> float:
-    """int_R g dt, adding shells until two in a row are quiet; past
-    MAX_SHELLS, QuadratureError carrying the partial sum."""
-    pieces = _line_shells(g, edges, 1.0)
-    value = next(pieces)
+    """int_R g dt, adding shells one at a time until two in a row are quiet;
+    past MAX_SHELLS, QuadratureError carrying the partial sum."""
+    value, shells = _line_pieces(g, edges, 1.0)
     quiet = 0
-    for _ in range(MAX_SHELLS):
-        sj = next(pieces)
+    for j in range(1, MAX_SHELLS + 1):
+        sj, = shells([j])
         value += sj
         quiet = quiet + 1 if sj <= REL_TOL * max(abs(value), 1e-300) else 0
         if quiet >= 2:
@@ -92,7 +101,8 @@ def zhat(G: EffectivePotential | Callable, J: int = 40) -> np.ndarray:
     A QuadratureError's ``interval`` is the entry that did not converge."""
     if J < 1:
         raise ValueError("truncation index J must be >= 1")
-    return np.array(list(itertools.islice(_line_shells(*_integrand(G), 2.0), J + 1)))
+    centre, shells = _line_pieces(*_integrand(G), 2.0)
+    return np.array([centre, *shells(range(1, J + 1))])
 
 
 def n_plus(eps: float, x) -> int:

@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 
+from boundcount.errors import NonFiniteError, QuadratureError
 from boundcount.potentials import EffectivePotential
-from boundcount.quadrature import adaptive_integral
+from boundcount.quadrature import _GL_NODES, _GL_WEIGHTS
 
 
 def shooting_negative_count(G, t_max=40.0, steps=400000):
@@ -222,11 +223,66 @@ def reference_block_pass(sys_):
         return _reference_block_sweep(sys_, -1e-12)
 
 
-def _reference_split_integral(f, a, b, cuts, rel_tol=1e-8):
-    points = [a, *sorted(c for c in cuts if a < c < b), b]
+def _reference_panel(f, a, b):
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    vals = np.asarray(f(mid + half * _GL_NODES), dtype=float)
+    if not np.all(np.isfinite(vals)):
+        bad = mid + half * _GL_NODES[~np.isfinite(vals)][0]
+        raise NonFiniteError(f"non-finite integrand sample at x={bad!r}", where=bad)
+    return half * float(np.dot(_GL_WEIGHTS, vals))
+
+
+def reference_adaptive_integral(f, a, b, rel_tol=1e-8, max_depth=48, interval_id=None):
+    """Depth-first bisection of one interval, two integrand calls per panel:
+    the batched adaptive_integral's reference, which must reproduce its
+    value, error estimate and failures for each interval bit for bit."""
+    if not b > a:
+        raise ValueError(f"empty integration interval [{a}, {b}]")
+    coarse = _reference_panel(f, a, b)
+    scale = max(abs(coarse), 1e-300)
+    total = 0.0
+    err_total = 0.0
+    stack = [(a, b, coarse, 0)]
+    while stack:
+        lo, hi, val, depth = stack.pop()
+        mid = 0.5 * (lo + hi)
+        left = _reference_panel(f, lo, mid)
+        right = _reference_panel(f, mid, hi)
+        refined = left + right
+        err = abs(refined - val)
+        running = max(scale, abs(total) + abs(refined))
+        budget = rel_tol * running * ((hi - lo) / (b - a) + 2.0 ** -12)
+        if err <= budget or err <= 1e-300:
+            total += refined
+            err_total += err
+        elif depth >= max_depth:
+            raise QuadratureError(
+                f"panel [{lo}, {hi}] failed to converge after {depth} bisections",
+                partial=total + refined,
+                interval=interval_id,
+            )
+        else:
+            stack.append((lo, mid, left, depth + 1))
+            stack.append((mid, hi, right, depth + 1))
+    return total, err_total
+
+
+def reference_each_interval(f, a, b, rel_tol=1e-8, max_depth=48, interval_id=None):
+    """adaptive_integral's batched signature served by reference_adaptive_integral,
+    one interval after the other."""
+    a, b = (np.atleast_1d(np.asarray(e, dtype=float)).tolist() for e in (a, b))
+    ids = list(interval_id) if np.ndim(interval_id) else [interval_id] * len(a)
+    out = [reference_adaptive_integral(f, lo, hi, rel_tol, max_depth, i)
+           for lo, hi, i in zip(a, b, ids)]
+    return np.array([v for v, _ in out]), np.array([e for _, e in out])
+
+
+def _reference_split_integral(f, a, b, cuts, rel_tol=1e-8, interval_id=None):
+    points = [a, *sorted({c for c in cuts if a < c < b}), b]
     value = err = 0.0
     for lo, hi in zip(points, points[1:]):
-        v, e = adaptive_integral(f, lo, hi, rel_tol)
+        v, e = reference_adaptive_integral(f, lo, hi, rel_tol, interval_id=interval_id)
         value += v
         err += e
     return value, err
@@ -243,14 +299,15 @@ def reference_zhat(G, J):
     G's support edges: the shell rule's reference for zhat."""
     g, edges, cuts = _reference_jumps(G)
     values = np.zeros(J + 1)
-    values[0], _ = _reference_split_integral(g, -1.0, 1.0, edges)
+    values[0], _ = _reference_split_integral(g, -1.0, 1.0, edges, interval_id=0)
 
     def shell(s):
         t = np.exp(s)
         return np.exp(2.0 * s) * (np.asarray(g(t), dtype=float) + np.asarray(g(-t), dtype=float))
 
     for j in range(1, J + 1):
-        values[j], _ = _reference_split_integral(shell, float(j - 1), float(j), cuts)
+        values[j], _ = _reference_split_integral(shell, float(j - 1), float(j), cuts,
+                                                 interval_id=j)
     return values
 
 

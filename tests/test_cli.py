@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, outputs, determinism, manifests."""
 
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -206,6 +207,21 @@ def test_count1d_certified_and_grid_override(tmp_path, capsys):
     assert override["count"] == payload["count"]
     assert override["grid"] == {"t_min": -15.0, "t_max": 15.0, "n": 3001}
     assert cli.main(["count1d", "--config", cfg, "--alpha", "40", "--grid", "junk"]) == 2
+
+
+@pytest.mark.parametrize("grid", ["-5,5,100", "0,5,101"])
+def test_count1d_grid_without_a_zero_node_is_a_config_error(tmp_path, capsys, grid):
+    # M deletes the t = 0 node, so its grid must hold one inside
+    cfg = write_config(tmp_path, GAUSSIAN_CONFIG)
+    assert cli.main(["count1d", "--config", cfg, "--alpha", "40", f"--grid={grid}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: bad --grid value '{grid}'")
+    assert captured.err.count("\n") == 1
+    # a channel count needs no such node
+    assert cli.main(["count1d", "--config", cfg, "--alpha", "40", "--m", "1",
+                     f"--grid={grid}"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] >= 0
 
 
 def test_count1d_channel_mode(tmp_path, capsys):
@@ -646,6 +662,42 @@ def test_verbose_flag_shows_the_info_lines(tmp_path, capsys, verbose):
     # the handler lives for one call only
     assert cli.main(argv) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_the_shared_parser_answers_like_a_fresh_one(tmp_path, capsys):
+    gauss = write_config(tmp_path, dict(GAUSSIAN_CONFIG, grid_policy={
+        "t_half": 1.0, "n": 41, "max_doublings": 1, "agreements": 1}), "gauss.json")
+    coupled = write_config(tmp_path, dict(NONRADIAL_CONFIG, grid_policy={
+        "t_half": 4.0, "n": 81, "max_doublings": 0}), "coupled.json")
+    count1d = ["count1d", "--config", gauss, "--alpha", "50"]
+    # each pair could leak a flag, a log level or a parser error into the next call
+    calls = [["count2d", "--config", coupled, "--alpha", "12", "--tilde"],
+             ["count2d", "--config", coupled, "--alpha", "12"],
+             ["-v", *count1d], count1d,
+             [*count1d, "--bogus"], ["norms", "--config", gauss]]
+    log = logging.getLogger("boundcount")
+    level = log.level
+
+    def run(argv, fresh):
+        if fresh:
+            cli.build_parser.cache_clear()
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert log.level == level and not log.handlers
+        return code, captured.out, captured.err
+
+    fresh = [run(argv, True) for argv in calls]
+    cli.build_parser.cache_clear()
+    shared = [run(argv, False) for argv in calls]
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 0, 0, 2, 0]
+    assert json.loads(shared[0][1])["tilde"] is True
+    assert json.loads(shared[1][1])["tilde"] is False
+    assert shared[2][2] and not shared[3][2]
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_version_and_bad_subcommand(capsys):

@@ -7,10 +7,11 @@ import pytest
 from scipy.integrate import quad
 
 import boundcount as bc
-from boundcount.errors import QuadratureError
+from boundcount import seminorms
+from boundcount.errors import NonFiniteError, QuadratureError
 from boundcount.quadrature import angular_nodes
 from boundcount.seminorms import default_window
-from helpers import reference_weyl, reference_zhat
+from helpers import reference_each_interval, reference_weyl, reference_zhat
 
 
 def brute_force_quasinorm(x, q):
@@ -363,19 +364,68 @@ def test_weyl_divergent_raises():
 
 def reference_Gs():
     """G's of every shape the line integrals meet: smooth, jumps at and off
-    the panel edges, flat windows, slow tails, and a bare callable."""
+    the panel edges, flat windows, slow tails, and a bare callable; then the
+    families of the benchmark's norms requests, with parameters off 1."""
     radial = [bc.gaussian_well(1.0, 1.0), bc.disk_well(1.0, 0.998), bc.disk_well(1.0, 1.0),
               bc.disk_well(1.0, 1.133), bc.RadialPotential(profile=bc.ring_profile(1.0, 0.5, 5.0)),
               bc.RadialPotential(profile=bc.inverse_square_ring(1.0, 0.3, 3.0)),
-              bc.log_borderline(1.0)]
+              bc.log_borderline(1.0), bc.gaussian_well(0.93, 1.17), bc.disk_well(1.13, 1.0),
+              bc.log_borderline(1.7)]
     Gs = [bc.effective_potential(bc.decompose(spec)) for spec in radial]
     return Gs + [lambda t: 1.0 / (1.0 + np.asarray(t, float) ** 4)]
 
 
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
 @pytest.mark.parametrize("G", reference_Gs())
 def test_shell_rule_matches_the_reference_loops_bit_for_bit(G):
-    assert bc.zhat(G, J=40).tobytes() == reference_zhat(G, 40).tobytes()
-    assert np.float64(bc.weyl_coefficient(G)).tobytes() == np.float64(reference_weyl(G)).tobytes()
+    assert bits(bc.zhat(G, J=40)) == bits(reference_zhat(G, 40))
+    assert bits(bc.weyl_coefficient(G)) == bits(reference_weyl(G))
+
+
+@pytest.mark.parametrize("mode", [(1, "cos"), (2, "sin")])
+def test_l1lp_and_bound_match_one_interval_at_a_time_bit_for_bit(monkeypatch, mode):
+    spec = bc.fourier_sum([(0, bc.gaussian_profile(1.07, 0.91), "cos"),
+                           (mode[0], bc.gaussian_profile(0.31, 0.91), mode[1])])
+    dec = bc.decompose(spec)
+    batched = bc.l1lp_norm(dec), bc.bound_functional(dec)
+    assert batched[0] > 0
+    monkeypatch.setattr(seminorms, "adaptive_integral", reference_each_interval)
+    assert bits(batched) == bits([bc.l1lp_norm(dec), bc.bound_functional(dec)])
+
+
+def _failing_G(nan_shell, singular_shell):
+    """NaN on the middle of one shell; a log singularity, large but finite at
+    a shell edge so that bisection reaches its depth limit, on another."""
+    edge = float(singular_shell)
+
+    def g(t):
+        with np.errstate(divide="ignore"):
+            s = np.log(np.abs(np.asarray(t, dtype=float)))
+        spike = np.where(np.abs(s - edge) < 0.5, 1.0 / (np.abs(s - edge) + 1e-30), 0.0)
+        return np.where(np.abs(s - (nan_shell - 0.5)) < 0.3, np.nan, spike)
+    return g
+
+
+@pytest.mark.parametrize("nan_shell,singular_shell,error", [
+    (3, 6, NonFiniteError), (8, 3, QuadratureError)])
+def test_zhat_raises_the_reference_error_of_its_first_failing_shell(
+        nan_shell, singular_shell, error):
+    G = _failing_G(nan_shell, singular_shell)
+    with pytest.raises(error) as batched:
+        bc.zhat(G, J=10)
+    with pytest.raises(error) as ref:
+        reference_zhat(G, 10)
+    assert type(batched.value) is type(ref.value)
+    assert str(batched.value) == str(ref.value)
+    # repr tells floats apart bit for bit
+    for attr in ("where", "interval", "partial"):
+        assert repr(getattr(batched.value, attr, None)) == repr(getattr(ref.value, attr, None))
+    if error is QuadratureError:
+        assert batched.value.interval == singular_shell
+        assert "failed to converge after 48 bisections" in str(batched.value)
 
 
 # ---------------------------------------------------------------- bound functional
