@@ -73,6 +73,7 @@ _FLAG_RANGES = (
     ("points", lambda v: v >= 4, ">= 4"),
     ("threads", lambda v: v >= 1, ">= 1"),
     ("window", lambda v: 0 < v <= 1, "in (0, 1]"),
+    ("q", lambda v: 1 < v < math.inf, "finite and > 1"),
     ("seed", lambda v: v >= 0, ">= 0"),
 )
 

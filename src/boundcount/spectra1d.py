@@ -10,7 +10,10 @@ the grid has it), its two halves run inward from their Dirichlet ends as
 stacked rows of one node loop of half the grid's length, and the centre's
 pivot closes the row.  The halves alone are the matrix with that node
 deleted, so one pass gives both a channel's count and, for m = 0, the
-count of the half-line blocks.
+count of the half-line blocks.  The pass also returns each half's last
+pivot: the 2D block pass (spectra2d) runs its free tails, one row per
+channel, through the same kernel and couples them to the dense slices by
+those pivots.
 """
 
 from __future__ import annotations
@@ -200,7 +203,7 @@ class _ChannelRows:
 
 
 def _pivot_pass(source, rows: np.ndarray, offsq, centre: int, shift: float
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One split (twisted) pivot sweep over ``rows`` of ``source``.
 
     Each row is cut at the node ``centre``.  Its two halves run inward from
@@ -216,7 +219,8 @@ def _pivot_pass(source, rows: np.ndarray, offsq, centre: int, shift: float
 
     Returns (negative counts of the whole rows, negative counts of the two
     halves, rows whose halves hit an exact zero pivot, rows whose centre
-    pivot is exactly zero)."""
+    pivot is exactly zero, the last pivot of each half: the left halves',
+    then the right halves', +inf for an empty half)."""
     n = source.shape[1]
     steps = max(centre, n - 1 - centre)
     width = 2 * rows.size
@@ -256,7 +260,7 @@ def _pivot_pass(source, rows: np.ndarray, offsq, centre: int, shift: float
             q_c -= (offsq[centre] if per_node else offsq) / prev[rows.size:]
     halves = halves[:rows.size] + halves[rows.size:]
     return (halves + (q_c < 0), halves, hit_zero[:rows.size] | hit_zero[rows.size:],
-            q_c == 0.0)
+            q_c == 0.0, prev)
 
 
 def _pivot_counts(source, offsq, centre: int | None = None, shift: float = 0.0
@@ -277,13 +281,13 @@ def _pivot_counts(source, offsq, centre: int | None = None, shift: float = 0.0
     offsq = np.asarray(offsq, dtype=float) if np.ndim(offsq) else float(offsq)
     if centre is None:
         centre = n // 2
-    full, halves, zero_halves, zero_centre = _pivot_pass(source, np.arange(n_rows), offsq,
-                                                         centre, shift)
+    full, halves, zero_halves, zero_centre, _ = _pivot_pass(source, np.arange(n_rows), offsq,
+                                                            centre, shift)
     if np.any(zero_halves | zero_centre):
         redo_rows = np.flatnonzero(zero_halves | zero_centre)
         log.warning("Sturm recurrence hit exact zero pivots in %d row(s); "
                     "retrying at shift %g", redo_rows.size, shift + ZERO_PIVOT_SHIFT)
-        redo_full, redo_halves, again_halves, again_centre = _pivot_pass(
+        redo_full, redo_halves, again_halves, again_centre, _ = _pivot_pass(
             source, redo_rows, offsq, centre, shift + ZERO_PIVOT_SHIFT)
         if np.any(again_halves | again_centre):
             raise NumericalError("zero pivot persisted after the fixed perturbation")
@@ -304,14 +308,6 @@ def tridiagonal_negative_count(diag, offdiag, shift: float = 0.0) -> int:
     if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(offdiag))):
         raise NonFiniteError("matrix entries must be finite")
     return int(_pivot_counts(_ExplicitRows(diag[None, :]), offdiag * offdiag, shift=shift)[0][0])
-
-
-def block_negative_counts(diags: np.ndarray, offsq: float, centre: int | None
-                          ) -> tuple[np.ndarray, np.ndarray]:
-    """(Counts, counts with the node ``centre`` deleted) of tridiagonals given
-    row by row in ``diags`` that share the squared offdiagonal ``offsq``;
-    ``centre`` None cuts at the middle node."""
-    return _pivot_counts(_ExplicitRows(np.asarray(diags, dtype=float)), offsq, centre)
 
 
 def _channel_diags(G, alpha: float, ms: Sequence[int], grid: Grid1D) -> np.ndarray:

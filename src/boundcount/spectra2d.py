@@ -17,10 +17,13 @@ of a side is balanced: two chains run toward the middle of the new segment,
 one continuing the side's state (which carries F, c's coupling to its
 current slice: F_1 = -e I with e = 1/h^2, and F_{k+1} = e F_k X_k for the
 pivot inverses X_k, each adding -F X F^T to c's block), one from the
-segment's outer end.  Where the potential has underflowed to zero, a run of
-end slices without residual and with one diagonal is a free tail: its pivots
-are diagonal, s_{j+1} = d - e^2 / s_j, one vector step a slice, each checked
-by the same singular guard as an eigh pivot; the last live slice meets it.
+segment's outer end.  A run of end slices without residual is a free tail,
+whatever its diagonal: its pivots are diagonal, s_{j+1} = d_{j+1} - e^2 /
+s_j, the Sturm recurrence of each channel.  Both tails are the halves of one
+split pass of the batched Sturm kernel (spectra1d), a row per channel, where
+only an exact zero pivot is singular; the last live slice meets each tail's
+last pivot.  A block-diagonal system is the same pass with both sides all
+tail.
 
 The constrained operator H~ deletes the t = 0 node of the constant channel,
 which is the discrete form of the mean-zero condition int u(1, theta)
@@ -36,7 +39,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -44,7 +47,7 @@ import numpy as np
 from .errors import MatrixSizeError, NumericalError
 from .potentials import (Decomposition, EffectivePotential, PotentialSpec, RadialProfile,
                          RadialPotential, decompose, effective_potential)
-from .spectra1d import (Grid1D, ZERO_PIVOT_SHIFT, _channel_diags, block_negative_counts,
+from .spectra1d import (Grid1D, ZERO_PIVOT_SHIFT, _channel_diags, _ExplicitRows, _pivot_pass,
                         channel_row_counts, radial_m_max, radial_sample_counts)
 
 log = logging.getLogger(__name__)
@@ -160,7 +163,16 @@ class BlockSystem2D:
     chan_diag: np.ndarray          # [B, n_int]
     pmodes: np.ndarray             # [n_int, 2 m_max + 1] Re Vhat_k, column 0 zero
     qmodes: np.ndarray             # [n_int, 2 m_max + 1] (1/2pi) int V sin k theta
-    is_block_diagonal: bool
+
+    @cached_property
+    def has_residual(self) -> np.ndarray:
+        """[n_int] whether each slice has an angular residual: a mode above 0
+        that does not vanish."""
+        return np.any(self.pmodes[:, 1:] != 0.0, 1) | np.any(self.qmodes[:, 1:] != 0.0, 1)
+
+    @property
+    def is_block_diagonal(self) -> bool:
+        return not self.has_residual.any()
 
     @property
     def dimension(self) -> int:
@@ -177,8 +189,8 @@ class BlockSystem2D:
         residual, nor an overflowing e^{2t} times zero."""
         diag = self.chan_diag[:, slices].T - shift
         D = np.where(np.eye(diag.shape[1], dtype=bool), diag[:, :, None], 0.0)
-        if not self.is_block_diagonal:
-            live = np.any(np.hstack((self.pmodes[slices, 1:], self.qmodes[slices, 1:])), 1)
+        live = self.has_residual[slices]
+        if live.any():
             rows = np.arange(len(self.pmodes))[slices][live]
             R = self.angular_residual(rows)  # scaled in place to alpha (e^{2t} R)
             R *= np.array([math.exp(2.0 * t) for t in self.grid.interior[rows]])[:, None, None]
@@ -219,8 +231,8 @@ def assemble_full_2d(spec: PotentialSpec, alpha: float, grid: Grid1D,
     channel_set = channels if isinstance(channels, ChannelSet) else ChannelSet(int(channels))
     B = channel_set.size
     n_int = grid.n - 2
-    # radial systems stay block-diagonal (one pivot pass over the channels,
-    # no dense work; radial count_2d_auto counts assemble none), so the
+    # radial systems stay block-diagonal (all free tail: one Sturm pass over
+    # the channels; radial count_2d_auto counts assemble none), so the
     # dense-dimension ceiling applies to coupled systems only
     if not spec.is_radial and B * n_int > max_dimension:
         raise MatrixSizeError(
@@ -231,7 +243,6 @@ def assemble_full_2d(spec: PotentialSpec, alpha: float, grid: Grid1D,
     if spec.is_radial:
         pmodes = np.zeros((n_int, 2 * channel_set.m_max + 1))
         qmodes = np.zeros_like(pmodes)
-        block_diag = True
     else:
         with np.errstate(over="ignore"):
             radii = np.exp(grid.interior)
@@ -239,10 +250,8 @@ def assemble_full_2d(spec: PotentialSpec, alpha: float, grid: Grid1D,
         pmodes = vhat.real.copy()
         qmodes = (-vhat.imag).copy()
         pmodes[:, 0] = 0.0  # mode 0 lives in chan_diag via G
-        block_diag = bool(np.all(pmodes == 0.0) and np.all(qmodes == 0.0))
     return BlockSystem2D(grid=grid, channel_set=channel_set, alpha=alpha,
-                         chan_diag=chan_diag, pmodes=pmodes, qmodes=qmodes,
-                         is_block_diagonal=block_diag)
+                         chan_diag=chan_diag, pmodes=pmodes, qmodes=qmodes)
 
 
 class _SingularPivot(Exception):
@@ -250,27 +259,16 @@ class _SingularPivot(Exception):
 
 
 def _negatives(w: np.ndarray, where: Sequence[int]) -> int:
-    """Negative count of a stack of pivot blocks with eigenvalues ``w`` [n, B]
-    (a diagonal pivot's own entries); a nearly singular block raises
-    _SingularPivot naming its slice ``where[i]`` (an empty one counts 0)."""
+    """Negative count of a stack of dense pivot blocks with eigenvalues ``w``
+    [n, B]; a nearly singular block (its smallest |eigenvalue| at most 1e-14
+    of its largest) raises _SingularPivot naming its slice ``where[i]`` (an
+    empty one counts 0)."""
     a = np.abs(w)
     wmax = a.max(-1, initial=0.0)
     near = (wmax == 0.0) | (a.min(-1, initial=np.inf) <= 1e-14 * wmax)
     if w.shape[-1] and near.any():
         raise _SingularPivot(f"near-singular pivot block at slice {where[int(np.argmax(near))]}")
     return int(np.count_nonzero(w < 0))
-
-
-def _count_block_diagonal(sys: BlockSystem2D) -> tuple[int, int | None]:
-    """Both counts of a block-diagonal system (pinned channel sets,
-    ``count_tilde`` and the verification suites) in one kernel call: a split
-    pivot sweep per channel, whose halves are the constant channel cut at
-    t = 0."""
-    off = -1.0 / sys.grid.h ** 2
-    zero = sys.grid.zero_index
-    full, halves = block_negative_counts(sys.chan_diag, off * off, zero)
-    total = int(np.sum(full))
-    return total, None if zero is None else total - int(full[0]) + int(halves[0])
 
 
 def _eigh_inverses(D: np.ndarray, where: Sequence[int]) -> tuple[int, np.ndarray]:
@@ -296,24 +294,9 @@ def _pivot_inverses(D: np.ndarray, where: np.ndarray) -> tuple[int, np.ndarray]:
 
 def _free_tail(sys: BlockSystem2D, side: np.ndarray) -> int:
     """Length of the free tail of a side (slice indices from its outer end
-    inward): the run of slices from that end without residual whose
-    ``chan_diag`` column equals the end slice's."""
-    free = ~np.any(np.hstack((sys.pmodes[side, 1:], sys.qmodes[side, 1:])), 1)
-    free &= np.all(sys.chan_diag[:, side] == sys.chan_diag[:, side[:1]], 0)
-    return side.size if free.all() else int(np.argmin(free))
-
-
-def _tail_inverse(d: np.ndarray, esq: float, where: np.ndarray) -> tuple[int, np.ndarray]:
-    """(negatives, last pivot's inverse) of a free tail whose slices all have
-    the diagonal block diag(d): its pivots are diagonal, s_1 = d and
-    s_{j+1} = d - esq / s_j, and each goes through the guard of _negatives."""
-    s = np.empty((where.size, d.size))
-    s[0] = d
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for j in range(1, where.size):  # past an exact zero the guard below stops the pass
-            s[j] = d - esq / s[j - 1]
-    negatives = _negatives(s, where)
-    return negatives, 1.0 / s[-1]
+    inward): the run of slices from that end without residual."""
+    live = sys.has_residual[side]
+    return side.size if not live.any() else int(np.argmax(live))
 
 
 def _step_blocks(sys: BlockSystem2D, shift: float, order: np.ndarray, sizes: list[int]):
@@ -387,9 +370,12 @@ def _level_pass(sys: BlockSystem2D, shift: float,
 
     Each side of c is eliminated from c outward up to the slice before its
     last live slice (the slices before its free tail), continuing
-    ``carried`` when it holds that side's first slices; the free tail goes
-    by the scalar recurrence of _tail_inverse, and the last live slice meets
-    it.  An advance of a side from offset r to offset t, beyond two slices,
+    ``carried`` when it holds that side's first slices; both free tails go
+    by one split pass of the Sturm kernel _pivot_pass, whose last pivots
+    the last live slices meet.  An exact zero tail pivot raises
+    _SingularPivot, as a nearly singular dense block does.
+
+    An advance of a side from offset r to offset t, beyond two slices,
     takes t as a separator E: chain A continues the side's state from r + 1,
     chain B starts at E's inner neighbour carrying E's coupling F_E = -e I,
     and the two meet at the middle slice m, whose pivot T = D_m - Y_A - Y_B
@@ -401,20 +387,19 @@ def _level_pass(sys: BlockSystem2D, shift: float,
     n_int, B = sys.chan_diag.shape[1], sys.channel_set.size
     zero = sys.grid.zero_index
     c = n_int - 1 if zero is None else zero
-    total = 0
     lost = np.zeros((B, B))  # what the slices of both sides take from c's block
     sides = (np.arange(c - 1, -1, -1), np.arange(c + 1, n_int))  # side[k - 1]: offset k
-    lives, tails = [], []
-    for side in sides:
-        outward = side[::-1]
-        tail = _free_tail(sys, outward) if side.size else 0
-        tails.append(None)
-        if tail:
-            negatives, inverse = _tail_inverse(sys.chan_diag[:, side[-1]] - shift, esq,
-                                               outward[:tail])
-            total += negatives
-            tails[-1] = esq * inverse
-        lives.append(side.size - tail)
+    tails = [_free_tail(sys, side[::-1]) for side in sides]
+    lives = [side.size - tail for side, tail in zip(sides, tails)]
+    # both free tails, in grid order about c, as the halves of one split
+    # Sturm pass with a row per channel; c's own pivot is not read
+    nodes = np.r_[:tails[0], c, n_int - tails[1]:n_int]
+    _, halves, hit_zero, _, last = _pivot_pass(_ExplicitRows(sys.chan_diag[:, nodes]),
+                                               np.arange(B), esq, tails[0], shift)
+    if hit_zero.any():
+        raise _SingularPivot("exact zero pivot in a free tail")
+    total = int(halves.sum())
+    taken = np.split(esq * (1.0 / last), 2)  # what each tail takes from the slice it meets
     if carried is not None and (zero is None or not carried.continues(sys, c) or any(
             max(live - 1, 0) < state.reach for live, state in zip(lives, carried.sides))):
         carried = None
@@ -480,14 +465,13 @@ def _level_pass(sys: BlockSystem2D, shift: float,
         for i, (s, _, _) in enumerate(meets):
             new[s] = _Side(reach[s], esq * P[i], e * CP[i], lost_a[i] + CP[i] @ C[i].T)
     total += negatives_carried
-    for s, side in enumerate(sides):
-        if side.size and not lives[s]:
-            lost += np.diag(tails[s])  # a side that is all free tail
+    for s, live in enumerate(lives):
+        if not live:
+            lost += np.diag(taken[s])  # a side that is all free tail (or empty: 0)
     if finals:
         T = D_last[:-1] - np.array([new[s].Y for s in finals])
         for i, s in enumerate(finals):
-            if tails[s] is not None:
-                T[i] -= np.diag(tails[s])
+            T[i] -= np.diag(taken[s])  # 0 without a tail
             lost += new[s].lost
         negatives, T = _eigh_inverses(T, order[-len(finals) - 1:-1])
         total += negatives
@@ -522,9 +506,11 @@ class _BlockPass:
     Every chain of both sides steps together, one stacked LAPACK call a step;
     positive-definite stacks with ||D||_1 ||D^-1||_1 < CONDITION_LIMIT skip
     eigh: that product bounds kappa_2(D), so the guard could not stop on
-    them.  A nearly singular pivot block restarts the level from a fresh
-    state at the shift ZERO_PIVOT_SHIFT, which the pass keeps for later
-    levels; a second one raises NumericalError."""
+    them.  A nearly singular pivot block, or an exact zero pivot in a free
+    tail, restarts the level from a fresh state at the shift
+    ZERO_PIVOT_SHIFT, which the pass keeps for later levels; a second one
+    raises NumericalError.  The free tails' rows are one matrix, so they
+    take one shift, not one per row as the 1D counts do."""
 
     def __init__(self):
         self.shift = 0.0
@@ -550,11 +536,9 @@ def count_full_2d(sys: BlockSystem2D, passes: dict | None = None) -> tuple[int, 
     ``passes``, kept by the caller from one domain-doubling level to the
     next, holds the pass of each channel cutoff (m_max), which continues the
     previous level's elimination: the counts are the same with it or
-    without it.  A nearly singular pivot block re-runs the level, for both
-    counts, at the shift ZERO_PIVOT_SHIFT, which a carried pass keeps for
-    the later levels."""
-    if sys.is_block_diagonal:
-        return _count_block_diagonal(sys)
+    without it.  A nearly singular pivot block, or an exact zero pivot in a
+    free tail, re-runs the level, for both counts, at the shift
+    ZERO_PIVOT_SHIFT, which a carried pass keeps for the later levels."""
     if passes is None:
         return _BlockPass().count(sys)
     return passes.setdefault(sys.channel_set.m_max, _BlockPass()).count(sys)

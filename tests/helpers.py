@@ -61,10 +61,11 @@ def reference_sturm_pass(diag, offsq, shift=0.0, centre=None):
     from the last node down, and the centre closes the row with
     q_c = (d_c - shift) - offsq[c-1] / q_{c-1} - offsq[c] / q_{c+1}.
     Returns (negative pivots, negative pivots of the halves, whether a half
-    pivot was exactly zero, whether the centre pivot was)."""
+    pivot was exactly zero, whether the centre pivot was, the last pivots
+    of the left and the right half, +inf for an empty half)."""
     n = len(diag)
     c = n // 2 if centre is None else centre
-    halves, zero = 0, False
+    halves, zero, last = 0, False, []
     q_c = np.float64(diag[c]) - shift
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for half in (range(c), range(n - 1, c, -1)):
@@ -77,7 +78,8 @@ def reference_sturm_pass(diag, offsq, shift=0.0, centre=None):
                 zero |= bool(q == 0.0)
             if q is not None:
                 q_c = q_c - np.float64(offsq[min(c, prev)]) / q
-    return halves + bool(q_c < 0), halves, zero, bool(q_c == 0.0)
+            last.append(np.inf if q is None else q)
+    return halves + bool(q_c < 0), halves, zero, bool(q_c == 0.0), tuple(last)
 
 
 def reference_sturm_count(diag, offsq, shift=0.0, centre=None):
@@ -85,7 +87,7 @@ def reference_sturm_count(diag, offsq, shift=0.0, centre=None):
     recounted at the kernel's fixed retry shift when a pivot it reads was
     exactly zero: the full count on any zero, the deleted count on a zero
     in a half."""
-    full, halves, zero_halves, zero_centre = reference_sturm_pass(diag, offsq, shift, centre)
+    full, halves, zero_halves, zero_centre, _ = reference_sturm_pass(diag, offsq, shift, centre)
     if zero_halves or zero_centre:
         redo = reference_sturm_pass(diag, offsq, shift - 1e-12, centre)
         assert not (redo[2] or redo[3]), "zero pivot persisted in the reference"

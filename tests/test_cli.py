@@ -590,6 +590,12 @@ def test_decompose_rejects_bad_radii(tmp_path, capsys, radii):
     (["sweep", "--threads", "0"], "--threads"),
     (["report", "--check", "as2", "--window", "0"], "--window"),
     (["verify", "--suite", "bs", "--seed", "-1"], "--seed"),
+    (["report", "--check", "prop-add", "--q", "nan"], "--q"),
+    (["report", "--check", "prop-add", "--q", "inf"], "--q"),
+    (["report", "--check", "prop-add", "--q=-inf"], "--q"),
+    (["report", "--check", "prop-add", "--q", "0"], "--q"),
+    (["report", "--check", "prop-add", "--q", "-1"], "--q"),
+    (["report", "--check", "prop-add", "--q", "1"], "--q"),
 ])
 def test_out_of_range_flag_exits_2_with_one_line(tmp_path, capsys, argv, flag):
     files = {"sweep": ["--config", write_config(tmp_path, DISK_CONFIG),

@@ -156,7 +156,8 @@ def test_kernel_matches_scalar_reference(n, cut, caplog, monkeypatch):
     want = [reference_sturm_count(d, offsq, centre=cut) for d in diags]
     assert list(zip(full.tolist(), halves.tolist())) == want
     # only the rows that hit a zero are redone, after one log line
-    zeros = [r for r, d in enumerate(diags) if any(reference_sturm_pass(d, offsq, centre=cut)[2:])]
+    zeros = [r for r, d in enumerate(diags)
+             if any(reference_sturm_pass(d, offsq, centre=cut)[2:4])]
     assert zeros == list(range(5, len(rows)))
     assert passes == [list(range(len(rows))), zeros]
     retried = [rec.getMessage() for rec in caplog.records if "zero pivots" in rec.getMessage()]
@@ -172,7 +173,7 @@ def test_a_zero_at_the_centre_keeps_the_deleted_count(caplog):
     diag = np.array([-1e-13, offsq[0] / -1e-13])
     full, halves = spectra1d._pivot_counts(spectra1d._ExplicitRows(diag[None, :]), offsq)
     assert "zero pivots in 1 row(s)" in caplog.text
-    _, _, zero_halves, zero_centre = reference_sturm_pass(diag, offsq)
+    _, _, zero_halves, zero_centre, _ = reference_sturm_pass(diag, offsq)
     assert zero_centre and not zero_halves
     assert (int(full[0]), int(halves[0])) == reference_sturm_count(diag, offsq) == (1, 1)
     assert reference_sturm_pass(diag, offsq, -1e-12)[1] == 0
@@ -188,12 +189,21 @@ def test_kernel_single_rows_match_reference():
 
 
 def test_block_counts_give_both_counts_of_every_row():
+    # rows sharing one scalar offdiagonal, as the 2D block pass's free tails
+    # do, cut in the middle, unevenly (the shorter half starts with padding)
+    # and at an end (cut 0 or 299: one half empty, all padding); each half's
+    # last pivot is the scalar recurrence's, bit for bit
     rng = np.random.default_rng(11)
     diags = rng.normal(0.0, 2.0, (4, 300))
-    full, halves = spectra1d.block_negative_counts(diags, 0.8, 150)
+    source = spectra1d._ExplicitRows(diags)
     offsq = np.full(299, 0.8)
-    assert list(zip(full.tolist(), halves.tolist())) == [
-        reference_sturm_count(d, offsq, centre=150) for d in diags]
+    for cut in (150, 40, 260, 0, 299):
+        full, halves = spectra1d._pivot_counts(source, 0.8, cut)
+        assert list(zip(full.tolist(), halves.tolist())) == [
+            reference_sturm_count(d, offsq, centre=cut) for d in diags]
+        *_, last = spectra1d._pivot_pass(source, np.arange(4), 0.8, cut, 0.0)
+        want = np.array([reference_sturm_pass(d, offsq, centre=cut)[4] for d in diags])
+        assert last.tobytes() == want.T.ravel().tobytes(), cut
 
 
 @pytest.mark.parametrize("n", [6000, 6001, 200, 201, 4, 3])

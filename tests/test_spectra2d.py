@@ -1,6 +1,5 @@
 """2D block systems: assembly structure, exact counts, Hardy ratios."""
 
-import dataclasses
 import json
 import math
 
@@ -278,12 +277,6 @@ def test_count_tilde_matches_dense_oracle():
         bc.count_tilde(spec, alpha, bc.Grid1D(-6.0, 6.0, 120))
 
 
-def both_paths(sys_):
-    """The system as assembled, and the same system through the block
-    Schur sweep whatever its modes."""
-    return sys_, dataclasses.replace(sys_, is_block_diagonal=False)
-
-
 def test_pair_matches_dense_counts_for_every_channel_cutoff():
     rng = np.random.default_rng(19)
     grid = bc.Grid1D.symmetric(4.0, 41)
@@ -292,11 +285,10 @@ def test_pair_matches_dense_counts_for_every_channel_cutoff():
             spec = random_trig_spec(rng, max(2 * m_max, 1))
             alpha = float(np.exp(rng.uniform(np.log(2.0), np.log(30.0))))
             sys_ = bc.assemble_full_2d(spec, alpha, grid, channels=m_max)
-            # m_max 0 keeps no mode above 0: block-diagonal, and through the
-            # block sweep the t = 0 slice without its constant channel is empty
+            # m_max 0 keeps no mode above 0: block-diagonal, both sides all
+            # free tail, and the t = 0 slice without its constant channel empty
             assert sys_.is_block_diagonal == (m_max == 0)
-            for path in both_paths(sys_):
-                assert bc.count_full_2d(path) == dense_pair(sys_), (m_max, alpha)
+            assert bc.count_full_2d(sys_) == dense_pair(sys_), (m_max, alpha)
 
 
 def test_pair_of_a_non_radial_spec_with_zero_modes():
@@ -307,8 +299,7 @@ def test_pair_of_a_non_radial_spec_with_zero_modes():
     assert not spec.is_radial and sys_.is_block_diagonal
     want = dense_pair(sys_)
     assert want[0] > want[1] > 0
-    for path in both_paths(sys_):
-        assert bc.count_full_2d(path) == want
+    assert bc.count_full_2d(sys_) == want
 
 
 def test_pair_on_a_grid_without_a_zero_node():
@@ -318,22 +309,22 @@ def test_pair_on_a_grid_without_a_zero_node():
         sys_ = bc.assemble_full_2d(spec, 20.0, grid, channels=2)
         full, tilde = dense_pair(sys_)
         assert full > 0 and tilde is None
-        for path in both_paths(sys_):
-            assert bc.count_full_2d(path) == (full, None)
+        assert bc.count_full_2d(sys_) == (full, None)
 
 
 @pytest.mark.parametrize("grid", [bc.Grid1D.symmetric(4.0, 41), bc.Grid1D.symmetric(3.0, 62),
                                   bc.Grid1D(-4.0, 4.0, 40), bc.Grid1D(-1.0, 3.0, 35)])
 def test_block_diagonal_pair_matches_dense_counts(grid):
-    # both counts from the split rows of one kernel call: N_-(H~) is the
-    # constant channel's halves, with no row of its own
+    # both sides are all free tail, counted by one split Sturm pass over the
+    # channels; the t = 0 slice closes both counts, whole and without its
+    # constant channel
     specs = [bc.gaussian_well(1.0, 1.0), bc.disk_well(1.0, 0.8), bc.log_borderline(0.5)]
     seen = 0
     for spec in specs:
         for alpha, m_max in ((3.0, 0), (12.0, 2), (40.0, 3)):
             sys_ = bc.assemble_full_2d(spec, alpha, grid, channels=m_max)
             assert sys_.is_block_diagonal
-            full, tilde = spectra2d._count_block_diagonal(sys_)
+            full, tilde = bc.count_full_2d(sys_)
             assert (full, tilde) == dense_pair(sys_), (spec.label, alpha)
             if tilde is not None:
                 assert tilde <= full <= tilde + 1
@@ -351,14 +342,14 @@ def test_block_sweep_retries_an_exactly_singular_pivot_at_the_shift(caplog):
     pmodes[:, 0] = 0.0
     pmodes[0] = qmodes[0] = 0.0
     sys_ = bc.BlockSystem2D(grid=grid, channel_set=bc.ChannelSet(1), alpha=2.0,
-                            chan_diag=chan_diag, pmodes=pmodes, qmodes=qmodes,
-                            is_block_diagonal=False)
+                            chan_diag=chan_diag, pmodes=pmodes, qmodes=qmodes)
     with caplog.at_level("WARNING", logger="boundcount.spectra2d"):
         got = bc.count_full_2d(sys_)
     assert "retrying with shift" in caplog.text
     assert got == dense_pair(sys_, shift=bc.spectra1d.ZERO_PIVOT_SHIFT)
-    # a pivot that the shift itself makes exactly zero persists
-    chan_diag[:, 0] = [bc.spectra1d.ZERO_PIVOT_SHIFT, 1.5e3, -0.5]
+    # a pivot that the shift itself makes exactly zero persists: the shift
+    # lifts channel 0 and zeroes channel 1
+    chan_diag[:, 0] = [0.0, bc.spectra1d.ZERO_PIVOT_SHIFT, -0.5]
     with pytest.raises(bc.NumericalError):
         bc.count_full_2d(sys_)
 
@@ -374,10 +365,9 @@ def test_gathered_blocks_match_reference_slices_bytewise():
             if m_max:
                 modes = np.hstack((sys_.pmodes[:, 1:], sys_.qmodes[:, 1:]))
                 zero_mode_slices += int(np.sum(np.all(modes == 0.0, axis=1)))
-            for path in both_paths(sys_):
-                for shift in (0.0, bc.spectra1d.ZERO_PIVOT_SHIFT):
-                    got = path.blocks(shift)
-                    assert got.tobytes() == reference_slice_blocks(path, shift).tobytes()
+            for shift in (0.0, bc.spectra1d.ZERO_PIVOT_SHIFT):
+                got = sys_.blocks(shift)
+                assert got.tobytes() == reference_slice_blocks(sys_, shift).tobytes()
     # Gaussian modes underflow far out, so coupled systems have slices without residual
     assert zero_mode_slices > 0
     # any set of slices, in any order, as the block pass asks for them
@@ -419,6 +409,14 @@ def ring_spec(r_lo, r_hi):
                            (1, bc.ring_profile(0.4, 1.2 * r_lo, 0.75 * r_hi), "sin")])
 
 
+def borderline_ring_spec():
+    """log_borderline(1) at m = 0 and a ring cos mode at m = 1 on
+    0.2 <= r <= 0.5: modes above 0 only inside the unit circle, while the
+    radial part never vanishes."""
+    return bc.fourier_sum([(0, bc.log_borderline_profile(1.0), "cos"),
+                           (1, bc.ring_profile(0.04, 0.2, 0.5), "cos")])
+
+
 def gauss_spec(width):
     return bc.fourier_sum([(0, bc.gaussian_profile(1.0, width), "cos"),
                            (1, bc.gaussian_profile(0.5, width), "cos")])
@@ -427,19 +425,25 @@ def gauss_spec(width):
 @pytest.mark.parametrize("spec, grid, want", [
     # the Gaussian underflows far out: a free tail on the right side only
     (gauss_spec(1.0), bc.Grid1D.symmetric(6.0, 61), [(29, 0), (29, 13)]),
-    # free inside r_lo and outside r_hi: tails on both sides
-    (ring_spec(0.5, 2.0), bc.Grid1D.symmetric(3.0, 41), [(19, 15), (19, 15)]),
+    # free inside and outside the narrower sin ring: tails on both sides
+    (ring_spec(0.5, 2.0), bc.Grid1D.symmetric(3.0, 41), [(19, 16), (19, 17)]),
     # a wide Gaussian touches every slice: no tail
     (gauss_spec(3.0), bc.Grid1D.symmetric(2.0, 31), [(14, 0), (14, 0)]),
     # free on all of t < 0: the left side is all tail, the right side splits
-    (ring_spec(1.2, 2.0), bc.Grid1D.symmetric(3.0, 31), [(14, 14), (14, 11)]),
+    (ring_spec(1.2, 2.0), bc.Grid1D.symmetric(3.0, 31), [(14, 14), (14, 12)]),
     # sides of one, two and three slices
     (gauss_spec(3.0), bc.Grid1D.symmetric(2.0, 5), [(1, 0), (1, 0)]),
     (gauss_spec(3.0), bc.Grid1D.symmetric(2.0, 7), [(2, 0), (2, 0)]),
     (gauss_spec(3.0), bc.Grid1D.symmetric(2.0, 9), [(3, 0), (3, 0)]),
     # no t = 0 node: one side, ending at the last slice, with and without a tail
-    (ring_spec(0.5, 2.0), bc.Grid1D(-3.0, 3.0, 40), [(37, 14), (0, 0)]),
+    (ring_spec(0.5, 2.0), bc.Grid1D(-3.0, 3.0, 40), [(37, 16), (0, 0)]),
     (gauss_spec(1.0), bc.Grid1D(-3.0, 5.0, 40), [(37, 0), (0, 0)]),
+    # a slowly decaying radial part under a compact mode inside the unit
+    # circle: the right side is all tail, the left side has a tail, and both
+    # tails have a varying diagonal
+    (borderline_ring_spec(), bc.Grid1D.symmetric(3.0, 31), [(14, 6), (14, 14)]),
+    # a radial spec: both sides all tail
+    (bc.gaussian_well(1.0, 1.0), bc.Grid1D.symmetric(3.0, 31), [(14, 14), (14, 14)]),
 ])
 def test_block_pass_matches_reference_and_dense_on_every_tail_shape(spec, grid, want):
     for alpha in (1.0, 30.0, 300.0, 3000.0):
@@ -449,8 +453,8 @@ def test_block_pass_matches_reference_and_dense_on_every_tail_shape(spec, grid, 
 
 
 def spy_negatives(monkeypatch):
-    """Record, per stack of pivots counted under the guard (eigh's
-    eigenvalues, or a free tail's diagonal pivots), its (slice, negatives)."""
+    """Record, per stack of dense pivot blocks counted under the guard (eigh's
+    eigenvalues), its (slice, negatives)."""
     seen = []
     negatives = spectra2d._negatives
 
@@ -476,10 +480,10 @@ def test_block_pass_falls_back_to_eigh_mid_pass(monkeypatch):
     n_int, zero = sys_.chan_diag.shape[1], grid.zero_index
     (_, left_tail), (_, right_tail) = tail_lengths(sys_)
     assert left_tail == 0 < right_tail
-    # the right side's free tail first, under the tail guard; the t = 0
-    # slice last, whole and without its constant channel
+    # the right side's free tail goes by the Sturm pass, never under the
+    # guard; the t = 0 slice last, whole and without its constant channel
     *steps, meets, finals, full, tilde = seen
-    assert steps.pop(0) == [(n_int - 1 - j, 0) for j in range(right_tail)]
+    assert all(i < n_int - right_tail for step in seen for i, _ in step)
     assert full[0][0] == tilde[0][0] == zero
     # each side advances from the t = 0 slice to the slice before its last
     # live slice, 1 on the left and n_int - right_tail - 2 on the right; its
@@ -507,8 +511,7 @@ def pivot_system(first, final, modes=0.0, at=(0, 4)):
     pmodes[list(at)] = qmodes[list(at)] = modes
     pmodes[:, 0] = 0.0
     return bc.BlockSystem2D(grid=bc.Grid1D.symmetric(2.0, 7), channel_set=bc.ChannelSet(1),
-                            alpha=2.0, chan_diag=chan_diag, pmodes=pmodes, qmodes=qmodes,
-                            is_block_diagonal=False)
+                            alpha=2.0, chan_diag=chan_diag, pmodes=pmodes, qmodes=qmodes)
 
 
 ILL_CONDITIONED_ENDS = pytest.mark.parametrize("first, final", [
@@ -541,19 +544,25 @@ def test_ill_conditioned_positive_pivot_goes_through_eigh(monkeypatch, caplog, f
 def test_ill_conditioned_free_tail_pivot_passes_the_tail_guard(monkeypatch, caplog, first,
                                                               final):
     # the same pivots at the ends and without modes: each end slice is a
-    # free tail of one slice, whose diagonal pivot the tail guard passes
+    # free tail of one slice, counted by the Sturm pass, where only an exact
+    # zero is singular (the entries of a tail pivot are separate channels'
+    # recurrences); it never goes under the dense guard, and the slice it
+    # meets passes that guard
     sys_ = pivot_system(first, final)
     assert tail_lengths(sys_) == [(2, 1), (2, 1)]
-    assert count_without_retry(monkeypatch, caplog, sys_)[:2] == [[(0, 0)], [(4, 0)]]
+    seen = count_without_retry(monkeypatch, caplog, sys_)
+    assert sorted(i for step in seen for i, _ in step) == [1, 2, 2, 3]
 
 
 def test_nearly_singular_positive_pivot_still_retries_at_the_shift(caplog):
-    # condition number 2 / 1.5e-14 >= 1e14: Cholesky factors it, the guard stops on it
+    # condition number 2 / 1.5e-14 >= 1e14: slice 0 is a free tail of one
+    # slice, whose Sturm pivot is not zero, but it meets slice 1 as
+    # e^2 / 1.5e-14, and slice 1's dense guard stops on that
     sys_ = pivot_system([1.0, 1.5e-14, 2.0], [2.0, 3.0, 4.0])
     np.linalg.cholesky(sys_.blocks()[[0, 4]])
     with caplog.at_level("WARNING", logger="boundcount.spectra2d"):
         got = bc.count_full_2d(sys_)
-    assert "retrying with shift" in caplog.text
+    assert "near-singular pivot block at slice 1; retrying with shift" in caplog.text
     shift = bc.spectra1d.ZERO_PIVOT_SHIFT
     assert got == reference_block_pass(sys_) == dense_pair(sys_, shift=shift)
     # the shift lifts slice 0 and makes the final slice nearly singular instead
@@ -576,17 +585,34 @@ def test_free_tail_pivot_that_reaches_zero_retries_at_the_shift(caplog):
     pmodes[:3] = qmodes[:3] = 0.0
     pmodes[:, 0] = 0.0
     sys_ = bc.BlockSystem2D(grid=bc.Grid1D.symmetric(2.0, 9), channel_set=bc.ChannelSet(1),
-                            alpha=2.0, chan_diag=chan_diag, pmodes=pmodes, qmodes=qmodes,
-                            is_block_diagonal=False)
+                            alpha=2.0, chan_diag=chan_diag, pmodes=pmodes, qmodes=qmodes)
     assert tail_lengths(sys_) == [(3, 3), (3, 0)]
     with caplog.at_level("WARNING", logger="boundcount.spectra2d"):
         got = bc.count_full_2d(sys_)
-    assert "near-singular pivot block at slice 1; retrying with shift" in caplog.text
+    assert "exact zero pivot in a free tail; retrying with shift" in caplog.text
     # the reference's own first sweep stops there too
     with pytest.raises(ReferenceSingularPivot):
         _reference_block_sweep(sys_, 0.0)
     shift = bc.spectra1d.ZERO_PIVOT_SHIFT
     assert got == reference_block_pass(sys_) == dense_pair(sys_, shift=shift)
+
+
+def test_tiny_free_tail_pivot_needs_no_retry(monkeypatch, caplog):
+    # a free tail of three slices whose first pivot has an entry 1e-15 beside
+    # 5 and 6: a dense block that small against its largest eigenvalue would
+    # retry, but each entry of a tail pivot is its own channel's recurrence,
+    # and only an exact zero is singular there.  The next pivot of that
+    # channel is -16 / 1e-15, the one negative of the 2 x 2 leading block
+    rng = np.random.default_rng(67)
+    chan_diag = rng.uniform(5.0, 9.0, (3, 7))
+    chan_diag[:, 0] = [5.0, 1e-15, 6.0]
+    pmodes, qmodes = rng.uniform(-0.3, 0.3, (2, 7, 3))
+    pmodes[:3] = qmodes[:3] = 0.0
+    pmodes[:, 0] = 0.0
+    sys_ = bc.BlockSystem2D(grid=bc.Grid1D.symmetric(2.0, 9), channel_set=bc.ChannelSet(1),
+                            alpha=2.0, chan_diag=chan_diag, pmodes=pmodes, qmodes=qmodes)
+    assert tail_lengths(sys_) == [(3, 3), (3, 0)]
+    count_without_retry(monkeypatch, caplog, sys_)
 
 
 def inner_chain_system(left, right):
@@ -601,8 +627,7 @@ def inner_chain_system(left, right):
     pmodes[[3, 5]] = qmodes[[3, 5]] = 0.0
     pmodes[:, 0] = 0.0
     return bc.BlockSystem2D(grid=bc.Grid1D.symmetric(2.0, 11), channel_set=bc.ChannelSet(1),
-                            alpha=2.0, chan_diag=chan_diag, pmodes=pmodes, qmodes=qmodes,
-                            is_block_diagonal=False)
+                            alpha=2.0, chan_diag=chan_diag, pmodes=pmodes, qmodes=qmodes)
 
 
 def test_nearly_singular_inner_chain_pivot_retries_at_the_shift(caplog):
@@ -683,12 +708,19 @@ def one_slice_spec():
     (gauss_spec(1.0), bc.GridPolicy(t_half=4.0, n=21), [[(9, 0), (9, 1)], [(19, 0), (19, 11)]]),
     (gauss_spec(1.0), bc.GridPolicy(t_half=3.0, n=31), [[(14, 0), (14, 0)], [(29, 0), (29, 13)]]),
     (ring_spec(0.5, 2.0), bc.GridPolicy(t_half=2.0, n=21),
-     [[(9, 6), (9, 6)], [(19, 16), (19, 16)]]),
+     [[(9, 7), (9, 7)], [(19, 17), (19, 17)]]),
     (gauss_spec(3.0), bc.GridPolicy(t_half=1.0, n=11), [[(4, 0), (4, 0)], [(9, 0), (9, 0)]]),
     # the right side's live part is one slice, the left side all free
     (one_slice_spec(), bc.GridPolicy(t_half=2.0, n=21), [[(9, 9), (9, 8)], [(19, 19), (19, 18)]]),
     # the right side all free on level 0 but not on level 1
     (far_ring_spec(), bc.GridPolicy(t_half=2.0, n=21), [[(9, 2), (9, 9)], [(19, 12), (19, 2)]]),
+    # the right side all tail and the left side's tail growing, both with a
+    # varying diagonal
+    (borderline_ring_spec(), bc.GridPolicy(t_half=2.0, n=21),
+     [[(9, 1), (9, 9)], [(19, 11), (19, 19)]]),
+    # a radial spec: both sides all tail on every level
+    (bc.gaussian_well(1.0, 1.0), bc.GridPolicy(t_half=2.0, n=21),
+     [[(9, 9), (9, 9)], [(19, 19), (19, 19)]]),
 ])
 def test_carried_passes_match_fresh_and_dense_on_every_tail_shape(monkeypatch, spec, policy,
                                                                   shapes):
@@ -732,14 +764,13 @@ def nested_system(level, singular_at):
     qmodes = np.where(t[:, None] > -3.0, 0.2 * np.sin((k + 1) * t[:, None]), 0.0)
     pmodes[:, 0] = 0.0
     return bc.BlockSystem2D(grid=grid, channel_set=bc.ChannelSet(1), alpha=2.0,
-                            chan_diag=chan_diag, pmodes=pmodes, qmodes=qmodes,
-                            is_block_diagonal=False)
+                            chan_diag=chan_diag, pmodes=pmodes, qmodes=qmodes)
 
 
 def test_a_singular_pivot_on_level_1_restarts_the_pass_shifted(monkeypatch, caplog):
-    # level 1's outermost left slice is a free tail of one slice with an
-    # exact zero: its pivot stops the continued pass, which restarts level 1
-    # at the shift and keeps it; level 2 continues the shifted state
+    # level 1's outermost left slice starts a free tail with an exact zero:
+    # its Sturm pivot stops the continued pass, which restarts level 1 at
+    # the shift and keeps it; level 2 continues the shifted state
     policy = bc.GridPolicy(t_half=2.0, n=11)
     end = {level: float(policy.level_grid(level).interior[0]) for level in range(4)}
     shift = bc.spectra1d.ZERO_PIVOT_SHIFT
@@ -748,11 +779,11 @@ def test_a_singular_pivot_on_level_1_restarts_the_pass_shifted(monkeypatch, capl
     with caplog.at_level("WARNING", logger="boundcount.spectra2d"):
         for level, want_shift in ((0, 0.0), (1, shift), (2, shift)):
             sys_ = nested_system(level, {end[1]: 0.0})
-            assert tail_lengths(sys_)[0][1] == min(level, 1)
+            assert tail_lengths(sys_)[0][1] == (0, 2, 12)[level]
             assert bc.count_full_2d(sys_, passes) == dense_pair(sys_, shift=want_shift)
             assert passes[1].shift == want_shift
     assert caplog.text.count("retrying with shift") == 1
-    assert "near-singular pivot block at slice 0" in caplog.text
+    assert "exact zero pivot in a free tail" in caplog.text
     # level 1 stopped in its free tail, before it looked at level 0's state;
     # level 2 continued level 1's shifted state
     assert continued == [True]
@@ -782,8 +813,7 @@ def test_a_pass_whose_live_part_shrank_starts_afresh(monkeypatch):
         qmodes = np.where(live[:, None], 0.2 * np.sin((k + 1) * t[:, None]), 0.0)
         pmodes[:, 0] = 0.0
         return bc.BlockSystem2D(grid=grid, channel_set=bc.ChannelSet(1), alpha=2.0,
-                                chan_diag=chan_diag, pmodes=pmodes, qmodes=qmodes,
-                                is_block_diagonal=False)
+                                chan_diag=chan_diag, pmodes=pmodes, qmodes=qmodes)
 
     far = float(policy.level_grid(1).interior[-5])  # t = 2.0
     continued = spy_continues(monkeypatch)
