@@ -106,7 +106,7 @@ def sweep(spec: PotentialSpec, alpha_min: float, alpha_max: float, points: int,
 
         def level_counts(grid: Grid1D, pending: list) -> list:
             if spec.is_radial:
-                return radial_counts(G, alphas[pending], grid).tolist()
+                return radial_counts(G(grid.interior), alphas[pending], grid).tolist()
             nonlocal passes
             passes = {i: passes.get(i, {}) for i in pending}
             return list(mapper(lambda i: coupled(grid, i), pending))

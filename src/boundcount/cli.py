@@ -33,7 +33,7 @@ from .spectra2d import (ChannelSet, assemble_full_2d, count_2d_auto, count_full_
 from .verify import run_suite
 
 _COMPUTE_ERRORS = (QuadratureError, NumericalError, MatrixSizeError,
-                   NonFiniteError, DomainError, ValueError)
+                   NonFiniteError, DomainError)
 
 
 @contextmanager
@@ -249,6 +249,9 @@ def cmd_sweep(args) -> int:
                           "(flags or a 'sweep' config section)")
     if not alpha_min < alpha_max:
         raise ConfigError(f"sweep needs alpha_min < alpha_max, got {alpha_min} and {alpha_max}")
+    if not np.all(np.diff(np.geomspace(alpha_min, alpha_max, points)) > 0):
+        raise ConfigError(f"sweep range [{alpha_min}, {alpha_max}] is too narrow "
+                          f"for {points} distinct alphas")
     result = sweep(config.spec, alpha_min, alpha_max, points,
                    policy=config.grid_policy, p=config.p,
                    n_theta=config.angular_nodes, J=config.truncation_index,

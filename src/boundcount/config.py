@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import jsonschema
@@ -106,8 +107,6 @@ _CONFIG_SCHEMA = {
                 "n": {"type": "integer", "minimum": 3},
                 "max_doublings": {"type": "integer", "minimum": 0},
                 "agreements": {"type": "integer", "minimum": 1},
-                # accepted from older configs; false means max_doublings 0
-                "certify": {"type": "boolean"},
             },
             "additionalProperties": False,
         },
@@ -169,22 +168,31 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError(f"config invalid at {path}: {exc.message}") from exc
     fields = {key: value for key, value in doc.items() if key != "potential"}
     if "grid_policy" in fields:
-        policy = dict(fields["grid_policy"])
-        if policy.pop("certify", True) is False:
-            policy["max_doublings"] = 0
-        fields["grid_policy"] = GridPolicy(**policy)
+        try:
+            fields["grid_policy"] = GridPolicy(**fields["grid_policy"])
+        except ValueError as exc:
+            raise ConfigError(f"config invalid at grid_policy: {exc}") from exc
     if "sweep" in doc and not doc["sweep"]["alpha_min"] < doc["sweep"]["alpha_max"]:
         raise ConfigError("sweep needs alpha_min < alpha_max")
     return RunConfig(spec=potential_from_config(doc["potential"]), raw=doc, **fields)
 
 
+def _finite_number(text: str) -> float:
+    """A JSON number, refusing the non-finite values (NaN, Infinity, 1e999)
+    that Python's parser lets through."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
 def load_config(path) -> RunConfig:
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, a non-finite number, or bytes that are not text
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path} must be a JSON object")

@@ -1,7 +1,8 @@
 """Non-negative potentials on R^2 and their radial reduction.
 
-A potential is described declaratively (radial profile, real Fourier sum,
-product with an angular factor, or a tabulated grid).  The operations here
+A potential is described declaratively: a real Fourier sum of radial
+profiles (a radial potential is the sum of its one mode m = 0), a product
+with an angular factor, or a tabulated grid.  The operations here
 split V into its angular mean and the zero-mean remainder, and push the
 radial part through the logarithmic substitution r = e^t to produce the
 effective one-dimensional potential G(t) = e^{2t} V_rad(e^t).
@@ -201,30 +202,6 @@ class PotentialSpec:
 
 
 @dataclass
-class RadialPotential(PotentialSpec):
-    """V(r, theta) = profile(r)."""
-
-    profile: RadialProfile = field(default_factory=zero_profile)
-    label: str = "radial"
-
-    def __post_init__(self):
-        self.support = self.profile.support
-
-    def eval_polar(self, r, theta):
-        r, theta = np.broadcast_arrays(np.asarray(r, float), np.asarray(theta, float))
-        return self.profile(r) * np.ones_like(theta)
-
-    def angular_mode_hint(self):
-        return 0
-
-    def angular_coefficients(self, r, k_max, n_theta):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        out = np.zeros(r.shape + (k_max + 1,), dtype=complex)
-        out[..., 0] = self.profile(r)
-        return out
-
-
-@dataclass
 class FourierSumPotential(PotentialSpec):
     """Real Fourier sum: mode (0, c0) gives c0(r); mode (m, c, 'cos') adds
     2 cos(m theta) c(r); kind 'sin' adds 2 sin(m theta) c(r).
@@ -291,6 +268,18 @@ class FourierSumPotential(PotentialSpec):
             else:
                 out[..., m] += -1j * vals
         return out
+
+
+class RadialPotential(FourierSumPotential):
+    """V(r, theta) = profile(r): the Fourier sum of the one mode (0, profile)."""
+
+    def __init__(self, profile: RadialProfile | None = None, label: str = "radial"):
+        super().__init__(modes=[(0, zero_profile() if profile is None else profile, "cos")],
+                         label=label)
+
+    @property
+    def profile(self) -> RadialProfile:
+        return self.modes[0][1]
 
 
 @dataclass
@@ -470,8 +459,6 @@ def _exact_radial_profile(spec: PotentialSpec) -> RadialProfile | None:
     declared mode-0 coefficient from angular_coefficients), and keeps decay
     metadata so G(t) stays evaluable at the huge |t| the shell integrals
     reach."""
-    if isinstance(spec, RadialPotential):
-        return spec.profile
     if isinstance(spec, FourierSumPotential):
         for m, prof, _ in spec.modes:
             if m == 0:
@@ -520,10 +507,6 @@ class EffectivePotential:
             bad = t[~np.isfinite(np.asarray(vals))].flat[0]
             raise NonFiniteError(f"effective potential non-finite at t={bad}", where=bad)
         return vals
-
-    @classmethod
-    def from_callable(cls, func, convention: str = SUBSTITUTION, label: str = "G"):
-        return cls(func=func, convention=convention, label=label)
 
 
 def _substitution_G(v_rad: RadialProfile) -> Callable:

@@ -2,14 +2,14 @@
 
 All radial/line integrals in the package go through ``adaptive_integral``:
 fixed-order Gauss-Legendre panels, bisected until the local two-level
-estimate meets the requested relative tolerance.  It takes k intervals that
-share one integrand and bisects them together: each round pops one panel
-from every interval that still has one and samples both halves of all of
-them in one call of the integrand.  Each interval keeps its own depth-first
-stack, scale and running total, so its value is the one a bisection of that
-interval alone gives, bit for bit.  Angular integrals use the uniform
-trapezoid rule on [0, 2pi), which is exact for trigonometric polynomials of
-degree below the node count.
+estimate meets the requested relative tolerance.  It takes a sequence of k
+intervals that share one integrand, returns their k values, and bisects
+them together: each round pops one panel from every interval that still has
+one and samples both halves of all of them in one call of the integrand.
+Each interval keeps its own depth-first stack, scale and running total, so
+its value is the one a bisection of that interval alone gives, bit for bit.
+Angular integrals use the uniform trapezoid rule on [0, 2pi), which is
+exact for trigonometric polynomials of degree below the node count.
 """
 
 from __future__ import annotations
@@ -51,13 +51,12 @@ def adaptive_integral(
     rel_tol: float = 1e-8,
     max_depth: int = 48,
     interval_id=None,
-):
-    """Integrate ``f`` over [a, b], returning (value, error estimate).
+) -> np.ndarray:
+    """Integrate ``f`` over each interval [a_i, b_i], returning the values.
 
-    ``a`` and ``b`` may be arrays of k interval ends: the result is then a
-    pair of arrays, one entry per interval, and ``interval_id`` may give one
-    id per interval.  ``f`` must accept a 1D numpy array of abscissae and
-    act on each point alone.  Panels are split until
+    ``a`` and ``b`` are sequences of k interval ends, and ``interval_id``
+    may give one id per interval.  ``f`` must accept a 1D numpy array of
+    abscissae and act on each point alone.  Panels are split until
     |GL(panel) - GL(left) - GL(right)| passes its share of the tolerance: a
     width-proportional part plus a small flat floor (2^-12 of the scale per
     panel).  The floor is what lets jump discontinuities terminate; without
@@ -68,16 +67,13 @@ def adaptive_integral(
     interval and every later one; the others finish, and the failure of the
     first interval that failed is raised.
     """
-    ends = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    scalar = ends[0].ndim == 0
-    lo, hi = (e.ravel().tolist() for e in ends)
+    lo, hi = (np.asarray(e, dtype=float).tolist() for e in np.broadcast_arrays(a, b))
     for x, y in zip(lo, hi):
         if not y > x:
             raise ValueError(f"empty integration interval [{x}, {y}]")
     k = len(lo)
-    ids = list(interval_id) if not scalar and np.ndim(interval_id) else [interval_id] * k
+    ids = [None] * k if interval_id is None else list(interval_id)
     totals = [0.0] * k
-    errs = [0.0] * k
     scales = [0.0] * k
     failed = k  # index of the first interval that failed
     failure = None
@@ -112,7 +108,6 @@ def adaptive_integral(
             budget = rel_tol * running * ((p_hi - p_lo) / (hi[i] - lo[i]) + 2.0 ** -12)
             if err <= budget or err <= 1e-300:
                 totals[i] += refined
-                errs[i] += err
             elif depth >= max_depth:
                 failed, failure = i, QuadratureError(
                     f"panel [{p_lo}, {p_hi}] failed to converge after {depth} bisections",
@@ -125,9 +120,7 @@ def adaptive_integral(
                 stacks[i].append((mid, p_hi, right, depth + 1))
     if failure is not None:
         raise failure
-    if scalar:
-        return totals[0], errs[0]
-    return np.array(totals).reshape(ends[0].shape), np.array(errs).reshape(ends[0].shape)
+    return np.array(totals)
 
 
 def angular_nodes(n: int) -> tuple[np.ndarray, float]:

@@ -48,7 +48,7 @@ def _split_integrals(f: Callable, spans, cuts, ids) -> list[float]:
         lo += points[:-1]
         hi += points[1:]
         owner += [n] * (len(points) - 1)
-    pieces = adaptive_integral(f, lo, hi, REL_TOL, interval_id=[ids[n] for n in owner])[0]
+    pieces = adaptive_integral(f, lo, hi, REL_TOL, interval_id=[ids[n] for n in owner])
     values = [0.0] * len(spans)
     for n, piece in zip(owner, pieces.tolist()):
         values[n] += piece

@@ -47,6 +47,10 @@ class Grid1D:
             raise ValueError("grid needs t_min < t_max")
         if self.n < 3:
             raise ValueError("grid needs at least 3 nodes")
+        h2 = self.h * self.h
+        if not (h2 > 0 and 0 < 1.0 / h2 < math.inf):
+            raise ValueError(f"grid spacing h = {self.h!r} is out of range "
+                             "(1/h^2 must be finite and nonzero)")
 
     @property
     def h(self) -> float:
@@ -98,6 +102,9 @@ class GridPolicy:
     n: int = 6001
     max_doublings: int = 3
     agreements: int = 2
+
+    def __post_init__(self):
+        self.base_grid()  # a bad spacing fails here: every level has the base grid's h
 
     def base_grid(self) -> Grid1D:
         return Grid1D.symmetric(self.t_half, self.n)
@@ -370,9 +377,10 @@ def radial_m_max(gvals: np.ndarray, alpha: float) -> int:
     return int(math.ceil(math.sqrt(alpha * sup)))
 
 
-def radial_counts(G: EffectivePotential | Callable, alphas, grid: Grid1D) -> np.ndarray:
+def radial_counts(gvals: np.ndarray, alphas, grid: Grid1D) -> np.ndarray:
     """(N_-(H), N_-(H~), N_-(M)) of a radial potential for every alpha on
-    one grid, shape (len(alphas), 3), from a single kernel call.
+    one grid, shape (len(alphas), 3), from a single kernel call on the
+    samples ``gvals`` of G at the interior nodes of ``grid``.
 
     Each alpha contributes the channels m = 0..m_max (cutoff from the grid
     maximum of G), every m >= 1 weighted twice for its cos and sin copies.
@@ -380,12 +388,6 @@ def radial_counts(G: EffectivePotential | Callable, alphas, grid: Grid1D) -> np.
     kernel's split pass gives with the full count, and the constrained
     count is N_-(M) plus the m >= 1 channels.
     """
-    return radial_sample_counts(_g_samples(G, grid), alphas, grid)
-
-
-def radial_sample_counts(gvals: np.ndarray, alphas, grid: Grid1D) -> np.ndarray:
-    """radial_counts on the samples ``gvals`` of G at the interior nodes of
-    ``grid``."""
     alphas = np.asarray(alphas, dtype=float)
     if not grid.has_node_at_zero:
         raise ValueError("radial counts need a grid node at t=0")

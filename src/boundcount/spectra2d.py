@@ -48,7 +48,7 @@ from .errors import MatrixSizeError, NumericalError
 from .potentials import (Decomposition, EffectivePotential, PotentialSpec, RadialProfile,
                          RadialPotential, decompose, effective_potential)
 from .spectra1d import (Grid1D, ZERO_PIVOT_SHIFT, _channel_diags, _ExplicitRows, _pivot_pass,
-                        channel_row_counts, radial_m_max, radial_sample_counts)
+                        channel_row_counts, radial_counts, radial_m_max)
 
 log = logging.getLogger(__name__)
 
@@ -545,7 +545,7 @@ def count_full_2d(sys: BlockSystem2D, passes: dict | None = None) -> tuple[int, 
 
 
 def count_radial_2d(v_rad: RadialProfile | EffectivePotential | Callable,
-                    alpha: float, grid: Grid1D, m_max: int | None = None) -> int:
+                    alpha: float, grid: Grid1D) -> int:
     """N_- of the 2D operator for a radial potential: the sum of channel
     counts over |m| <= m_max, with the cutoff chosen so omitted channels are
     positive definite by construction."""
@@ -553,8 +553,7 @@ def count_radial_2d(v_rad: RadialProfile | EffectivePotential | Callable,
     if isinstance(v_rad, RadialProfile):
         G = effective_potential(decompose(RadialPotential(profile=v_rad)))
     gvals = np.asarray(G(grid.interior), dtype=float)
-    if m_max is None:
-        m_max = radial_m_max(gvals, alpha)
+    m_max = radial_m_max(gvals, alpha)
     counts, _ = channel_row_counts(gvals, grid, np.full(m_max + 1, float(alpha)),
                                    np.arange(m_max + 1))
     return int(counts[0] + 2 * np.sum(counts[1:]))
@@ -604,7 +603,7 @@ def count_2d_auto(spec: PotentialSpec, alpha: float, grid: Grid1D, n_theta: int 
     G = effective_potential(dec)
     if spec.is_radial:
         gvals = G(grid.interior)
-        full, tilde, _ = radial_sample_counts(gvals, [alpha], grid)[0]
+        full, tilde, _ = radial_counts(gvals, [alpha], grid)[0]
         m_max = radial_m_max(gvals, alpha)
         return (int(full), m_max, True), (int(tilde), m_max, True)
     start = coupled_cutoff_m_max(spec, alpha, grid, n_theta)

@@ -238,13 +238,12 @@ def _reference_panel(f, a, b):
 def reference_adaptive_integral(f, a, b, rel_tol=1e-8, max_depth=48, interval_id=None):
     """Depth-first bisection of one interval, two integrand calls per panel:
     the batched adaptive_integral's reference, which must reproduce its
-    value, error estimate and failures for each interval bit for bit."""
+    value and failures for each interval bit for bit."""
     if not b > a:
         raise ValueError(f"empty integration interval [{a}, {b}]")
     coarse = _reference_panel(f, a, b)
     scale = max(abs(coarse), 1e-300)
     total = 0.0
-    err_total = 0.0
     stack = [(a, b, coarse, 0)]
     while stack:
         lo, hi, val, depth = stack.pop()
@@ -257,7 +256,6 @@ def reference_adaptive_integral(f, a, b, rel_tol=1e-8, max_depth=48, interval_id
         budget = rel_tol * running * ((hi - lo) / (b - a) + 2.0 ** -12)
         if err <= budget or err <= 1e-300:
             total += refined
-            err_total += err
         elif depth >= max_depth:
             raise QuadratureError(
                 f"panel [{lo}, {hi}] failed to converge after {depth} bisections",
@@ -267,27 +265,23 @@ def reference_adaptive_integral(f, a, b, rel_tol=1e-8, max_depth=48, interval_id
         else:
             stack.append((lo, mid, left, depth + 1))
             stack.append((mid, hi, right, depth + 1))
-    return total, err_total
+    return total
 
 
 def reference_each_interval(f, a, b, rel_tol=1e-8, max_depth=48, interval_id=None):
     """adaptive_integral's batched signature served by reference_adaptive_integral,
     one interval after the other."""
-    a, b = (np.atleast_1d(np.asarray(e, dtype=float)).tolist() for e in (a, b))
-    ids = list(interval_id) if np.ndim(interval_id) else [interval_id] * len(a)
-    out = [reference_adaptive_integral(f, lo, hi, rel_tol, max_depth, i)
-           for lo, hi, i in zip(a, b, ids)]
-    return np.array([v for v, _ in out]), np.array([e for _, e in out])
+    ids = [interval_id] * len(a) if interval_id is None else list(interval_id)
+    return np.array([reference_adaptive_integral(f, float(lo), float(hi), rel_tol, max_depth, i)
+                     for lo, hi, i in zip(a, b, ids)])
 
 
 def _reference_split_integral(f, a, b, cuts, rel_tol=1e-8, interval_id=None):
     points = [a, *sorted({c for c in cuts if a < c < b}), b]
-    value = err = 0.0
+    value = 0.0
     for lo, hi in zip(points, points[1:]):
-        v, e = reference_adaptive_integral(f, lo, hi, rel_tol, interval_id=interval_id)
-        value += v
-        err += e
-    return value, err
+        value += reference_adaptive_integral(f, lo, hi, rel_tol, interval_id=interval_id)
+    return value
 
 
 def _reference_jumps(G):
@@ -301,15 +295,15 @@ def reference_zhat(G, J):
     G's support edges: the shell rule's reference for zhat."""
     g, edges, cuts = _reference_jumps(G)
     values = np.zeros(J + 1)
-    values[0], _ = _reference_split_integral(g, -1.0, 1.0, edges, interval_id=0)
+    values[0] = _reference_split_integral(g, -1.0, 1.0, edges, interval_id=0)
 
     def shell(s):
         t = np.exp(s)
         return np.exp(2.0 * s) * (np.asarray(g(t), dtype=float) + np.asarray(g(-t), dtype=float))
 
     for j in range(1, J + 1):
-        values[j], _ = _reference_split_integral(shell, float(j - 1), float(j), cuts,
-                                                 interval_id=j)
+        values[j] = _reference_split_integral(shell, float(j - 1), float(j), cuts,
+                                              interval_id=j)
     return values
 
 
@@ -317,7 +311,7 @@ def reference_weyl(G, rel_tol=1e-8, max_shells=600):
     """(1/2) int G dt as a loop over shells until two in a row are quiet:
     the shell rule's reference for the Weyl coefficient."""
     g, edges, cuts = _reference_jumps(G)
-    value, _ = _reference_split_integral(g, -1.0, 1.0, edges)
+    value = _reference_split_integral(g, -1.0, 1.0, edges)
 
     def shell(s):
         t = np.exp(s)
@@ -325,7 +319,7 @@ def reference_weyl(G, rel_tol=1e-8, max_shells=600):
 
     quiet = 0
     for j in range(1, max_shells + 1):
-        sj, _ = _reference_split_integral(shell, float(j - 1), float(j), cuts)
+        sj = _reference_split_integral(shell, float(j - 1), float(j), cuts)
         value += sj
         quiet = quiet + 1 if sj <= rel_tol * max(abs(value), 1e-300) else 0
         if quiet >= 2:

@@ -141,7 +141,7 @@ def test_criterion_4_radial_channel_consistency():
         alpha = float(np.exp(rng.uniform(np.log(2.0), np.log(80.0))))
         sys_ = bc.assemble_full_2d(spec, alpha, grid, max_dimension=10 ** 6)
         full = bc.count_full_2d(sys_)[0]
-        chans = bc.count_radial_2d(prof, alpha, grid, m_max=sys_.channel_set.m_max)
+        chans = bc.count_radial_2d(prof, alpha, grid)
         if full != chans:
             bad.append((i, full, chans))
     elapsed = time.monotonic() - t0
@@ -236,7 +236,7 @@ def test_criterion_9_half_line_thresholds():
     """count_M for the unit window: 0/1/2 states at alpha = 1/4/25, verified
     against an independent shooting oracle (thresholds ((2k-1) pi/2)^2)."""
     t0 = time.monotonic()
-    G = bc.EffectivePotential.from_callable(
+    G = bc.EffectivePotential(
         lambda t: ((np.asarray(t) > 0) & (np.asarray(t) < 1)).astype(float))
     grid = bc.Grid1D.symmetric(30.0, 6001)
     got = {}

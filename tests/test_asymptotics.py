@@ -184,7 +184,7 @@ def test_check_prop_add_heavy_tail_family():
         t = np.asarray(t, dtype=float)
         return 1.0 / ((1.0 + t * t) * np.sqrt(1.0 + np.log1p(np.abs(t))))
 
-    G = bc.EffectivePotential.from_callable(g)
+    G = bc.EffectivePotential(g)
     z20 = bc.zhat(G, J=20)
     z40 = bc.zhat(G, J=40)
     assert bc.weak_quasinorm(z40, 2.0) == pytest.approx(bc.weak_quasinorm(z20, 2.0), rel=0.05)

@@ -2,6 +2,7 @@
 
 import json
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -173,6 +174,65 @@ def test_invalid_json_exits_2(tmp_path, capsys):
     assert cli.main(["norms", "--config", str(path)]) == 2
 
 
+@pytest.mark.parametrize("text, what", [
+    ('"t_half": NaN', "NaN"), ('"t_half": Infinity', "Infinity"),
+    ('"t_half": 1e999', "1e999"), ('"t_half": -Infinity', "-Infinity")])
+def test_a_non_finite_number_in_a_config_exits_2(tmp_path, capsys, text, what):
+    # Python's JSON parser reads these; JSON has no such numbers
+    path = tmp_path / "config.json"
+    path.write_text('{"potential": {"family": "gaussian", "params": {"amplitude": 1.0, '
+                    '"width": 1.0}}, "grid_policy": {%s}}' % text)
+    assert cli.main(["count1d", "--config", str(path), "--alpha", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        f"config error: config {path} is not valid JSON: non-finite number {what}\n")
+
+
+def test_a_config_that_is_not_text_exits_2(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b"\x80\xff{}")
+    assert cli.main(["norms", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config {path} is not valid JSON: 'utf-8' codec")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("certify", [True, False])
+def test_a_grid_policy_with_certify_exits_2(tmp_path, capsys, certify):
+    doc = dict(GAUSSIAN_CONFIG, grid_policy=dict(GAUSSIAN_CONFIG["grid_policy"],
+                                                 certify=certify))
+    assert cli.main(["count1d", "--config", write_config(tmp_path, doc), "--alpha", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("config error: config invalid at grid_policy: ")
+    assert "'certify'" in captured.err
+
+
+@pytest.mark.parametrize("t_half, h", [(1e308, "inf"), (1e200, "4.999999999999999e+198"),
+                                       (1e-320, "5e-322")])
+def test_a_grid_policy_out_of_float_range_exits_2(tmp_path, capsys, t_half, h):
+    # 1/h^2, the kinetic entry, must be finite and nonzero
+    doc = dict(GAUSSIAN_CONFIG, grid_policy={"t_half": t_half, "n": 41})
+    for argv in (["count1d", "--alpha", "1"], ["count2d", "--alpha", "1"], ["norms"]):
+        assert cli.main(argv + ["--config", write_config(tmp_path, doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            f"config error: config invalid at grid_policy: grid spacing h = {h} is out of "
+            "range (1/h^2 must be finite and nonzero)\n")
+
+
+def test_a_value_error_inside_a_command_is_not_a_computation_error(tmp_path, capsys,
+                                                                   monkeypatch):
+    # a ValueError that reaches cli.main is a fault of the program, not an exit code
+    def broken(*args, **kwargs):
+        raise ValueError("broken zhat")
+
+    monkeypatch.setattr(cli, "zhat", broken)
+    with pytest.raises(ValueError, match="broken zhat"):
+        cli.main(["norms", "--config", write_config(tmp_path, GAUSSIAN_CONFIG)])
+    assert capsys.readouterr().err == ""
+
+
 def test_unknown_key_rejected(tmp_path, capsys):
     doc = dict(GAUSSIAN_CONFIG)
     doc["surprise"] = 1
@@ -313,7 +373,7 @@ def test_radial_count2d_matches_radial_counts_on_every_level(tmp_path, capsys, m
     G = bc.effective_potential(bc.decompose(bc.disk_well(1.0, 1.0)))
     assert len(levels) >= 3
     for grid, (count, m_used, ok) in levels:
-        assert count == bc.spectra1d.radial_counts(G, [30.0], grid)[0, int(tilde)]
+        assert count == bc.spectra1d.radial_counts(G(grid.interior), [30.0], grid)[0, int(tilde)]
         assert m_used == bc.radial_cutoff_m_max(G, 30.0, grid) and ok
     assert payload["count"] == levels[-1][1][0]
     assert payload["m_max_used"] == max(m for _, (_, m, _) in levels)
@@ -614,6 +674,16 @@ def test_sweep_range_must_increase(tmp_path, capsys):
     argv = ["sweep", "--config", cfg, "--out", str(tmp_path / "s.csv"), "--alpha-min", "90"]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith("config error: sweep needs alpha_min < alpha_max")
+
+
+def test_a_sweep_range_too_narrow_for_its_points_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "sweep", lambda *args, **kwargs: pytest.fail("sweep ran"))
+    argv = ["sweep", "--config", write_config(tmp_path, DISK_CONFIG),
+            "--out", str(tmp_path / "s.csv"), "--alpha-min", "1", "--alpha-max",
+            repr(math.nextafter(1.0, 2.0)), "--points", "4"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == ("config error: sweep range [1.0, 1.0000000000000002] "
+                                       "is too narrow for 4 distinct alphas\n")
 
 
 def test_verify_suite_exit_codes(monkeypatch, capsys):

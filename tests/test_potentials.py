@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 import boundcount as bc
+from boundcount.config import _PROFILES
 from boundcount.errors import ConfigError, DomainError
 from boundcount.potentials import PotentialSpec, zero_profile
 
@@ -24,6 +25,49 @@ class TrigPolyPotential(PotentialSpec):
 def test_eval_radial():
     spec = bc.RadialPotential(profile=bc.RadialProfile(lambda r: np.exp(-r)))
     assert spec.eval_polar(1.0, np.pi) == pytest.approx(math.exp(-1.0))
+
+
+# one profile of every config shape, with a support edge inside (0.3, 3) where
+# the shape has one
+SHAPE_PARAMS = {
+    "gaussian": {"amplitude": 1.3, "width": 0.8},
+    "ring": {"value": 0.7, "r_lo": 0.5, "r_hi": 2.0},
+    "inverse_square_ring": {"value": 0.9, "r_lo": 0.4, "r_hi": 2.5},
+    "disk": {"depth": 1.1, "radius": 1.5},
+    "log_borderline": {"c": 0.6},
+}
+
+
+def bits(x):
+    return np.asarray(x).tobytes()
+
+
+@pytest.mark.parametrize("shape", sorted(_PROFILES))
+def test_radial_potential_is_the_fourier_sum_of_its_one_mode(shape):
+    assert set(SHAPE_PARAMS) == set(_PROFILES)
+    prof = _PROFILES[shape][0](**SHAPE_PARAMS[shape])
+    radial = bc.RadialPotential(profile=prof)
+    fsum = bc.fourier_sum([(0, prof, "cos")])
+    assert radial.profile is prof
+    r = np.geomspace(0.05, 20.0, 37)
+    theta = np.linspace(0.0, 2.0 * np.pi, 11)
+    for k_max in (0, 6):
+        coeffs = radial.angular_coefficients(r, k_max, 32)
+        assert bits(coeffs) == bits(fsum.angular_coefficients(r, k_max, 32))
+        # the mode-0 row is the profile, every other mode is zero
+        assert bits(coeffs[:, 0].real) == bits(prof(r)) and not np.any(coeffs[:, 1:])
+        assert not np.any(coeffs[:, 0].imag)
+    values = radial.eval_polar(r[:, None], theta[None, :])
+    assert bits(values) == bits(fsum.eval_polar(r[:, None], theta[None, :]))
+    assert bits(values) == bits(np.broadcast_to(prof(r)[:, None], values.shape))
+    assert bits(bc.decompose(radial).v_rad(r)) == bits(bc.decompose(fsum).v_rad(r))
+    # the closed form in t survives: no e^t is taken at |t| = 1e6
+    t = np.concatenate([-np.geomspace(1e6, 1e-3, 40), [0.0], np.geomspace(1e-3, 1e6, 40)])
+    G = bc.effective_potential(bc.decompose(radial))
+    assert bits(G(t)) == bits(bc.effective_potential(bc.decompose(fsum))(t))
+    assert bits(G(t)) == bits(prof.effective_1d(t))
+    assert radial.support == fsum.support == prof.support
+    assert radial.is_radial and fsum.is_radial
 
 
 def test_eval_fourier_sum_convention():

@@ -18,20 +18,18 @@ QUADPACK_CASES = [
 
 @pytest.mark.parametrize("f,a,b", QUADPACK_CASES)
 def test_matches_quadpack(f, a, b):
-    val, err = adaptive_integral(f, a, b, rel_tol=1e-10)
+    val, = adaptive_integral(f, [a], [b], rel_tol=1e-10)
     ref, _ = quad(lambda x: float(f(np.array([x]))[0]), a, b, limit=400)
     assert val == pytest.approx(ref, rel=1e-8)
-    assert err <= 1e-6 * max(abs(ref), 1.0)
 
 
 def test_zero_integrand():
-    val, err = adaptive_integral(lambda x: np.zeros_like(x), 0.0, 1.0)
-    assert val == 0.0 and err == 0.0
+    assert adaptive_integral(lambda x: np.zeros_like(x), [0.0], [1.0]).tolist() == [0.0]
 
 
 def test_empty_interval_rejected():
     with pytest.raises(ValueError):
-        adaptive_integral(lambda x: x, 1.0, 1.0)
+        adaptive_integral(lambda x: x, [1.0], [1.0])
 
 
 def test_nonfinite_sample_reports_location():
@@ -40,12 +38,12 @@ def test_nonfinite_sample_reports_location():
             return np.where(np.abs(x - 0.5) < 1e-9, np.inf, 1.0 / (x - 0.5))
 
     with pytest.raises(NonFiniteError):
-        adaptive_integral(f, 0.0, 1.0)
+        adaptive_integral(f, [0.0], [1.0])
 
 
 def test_divergent_integral_raises_with_partial():
     with pytest.raises(QuadratureError) as info:
-        adaptive_integral(lambda x: 1.0 / x, 0.0, 1.0, rel_tol=1e-10, max_depth=30)
+        adaptive_integral(lambda x: 1.0 / x, [0.0], [1.0], rel_tol=1e-10, max_depth=30)
     assert info.value.partial is not None
 
 
@@ -63,18 +61,13 @@ def test_each_interval_of_a_batch_matches_the_scalar_bisection_bit_for_bit(f, a,
         calls.append(x.size)
         return f(x)
 
-    values, errs = adaptive_integral(g, [s[0] for s in spans], [s[1] for s in spans],
-                                     rel_tol=1e-10)
+    values = adaptive_integral(g, [s[0] for s in spans], [s[1] for s in spans], rel_tol=1e-10)
     ref = [reference_adaptive_integral(f, s[0], s[1], rel_tol=1e-10) for s in spans]
-    assert bits(values) == bits([v for v, _ in ref])
-    assert bits(errs) == bits([e for _, e in ref])
+    assert bits(values) == bits(ref)
     # the coarse panels in one call, then one call per round, each
     # evaluating both halves of a panel from every open interval
     assert calls[0] == 15 * len(spans)
     assert all(n % 30 == 0 and n <= 30 * len(spans) for n in calls[1:])
-    scalar = adaptive_integral(f, a, b, rel_tol=1e-10)
-    assert type(scalar[0]) is float and type(scalar[1]) is float
-    assert bits(scalar) == bits(ref[0])
 
 
 def test_a_failed_interval_raises_the_first_failure_only_after_the_batch():

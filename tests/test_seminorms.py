@@ -38,7 +38,7 @@ def test_zhat_zero_potential():
 
 
 def test_zhat_unit_window():
-    G = bc.EffectivePotential.from_callable(
+    G = bc.EffectivePotential(
         lambda t: ((np.asarray(t) > -1) & (np.asarray(t) < 1)).astype(float))
     zh = bc.zhat(G, J=5)
     assert zh[0] == pytest.approx(2.0, rel=1e-12)
@@ -47,7 +47,7 @@ def test_zhat_unit_window():
 
 def test_zhat_inverse_square_gives_constant_shells():
     # |t| G = 1/|t| on |t| > 1: each shell integrates to 2 (ln of the ratio e)
-    G = bc.EffectivePotential.from_callable(
+    G = bc.EffectivePotential(
         lambda t: np.where(np.abs(t) > 1.0, 1.0 / np.maximum(t * t, 1e-300), 0.0))
     zh = bc.zhat(G, J=10)
     assert zh[0] == pytest.approx(0.0, abs=1e-12)
@@ -353,7 +353,7 @@ def test_weyl_borderline_slow_tail_converges():
 
 
 def test_weyl_divergent_raises():
-    G = bc.EffectivePotential.from_callable(divergent_profile().effective_1d)
+    G = bc.EffectivePotential(divergent_profile().effective_1d)
     with pytest.raises(QuadratureError) as info:
         bc.weyl_coefficient(G)
     assert info.value.partial > 0

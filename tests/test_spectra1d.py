@@ -206,6 +206,17 @@ def test_block_counts_give_both_counts_of_every_row():
         assert last.tobytes() == want.T.ravel().tobytes(), cut
 
 
+@pytest.mark.parametrize("t_min, t_max, n", [(-1e308, 1e308, 5), (-1e200, 1e200, 41),
+                                            (0.0, 1e-320, 5), (-1e-160, 1e-160, 3)])
+def test_a_grid_needs_a_finite_nonzero_kinetic_entry(t_min, t_max, n):
+    # 1/h^2 overflows, or h^2 does, or h^2 underflows to 0
+    with pytest.raises(ValueError, match="grid spacing h = .* is out of range"):
+        bc.Grid1D(t_min, t_max, n)
+    with pytest.raises(ValueError, match="grid spacing h = .* is out of range"):
+        bc.GridPolicy(t_half=t_max, n=n)
+    assert bc.Grid1D(-1e150, 1e150, 5).h == 5e149
+
+
 @pytest.mark.parametrize("n", [6000, 6001, 200, 201, 4, 3])
 def test_level_grids_share_the_base_spacing(n):
     policy = bc.GridPolicy(t_half=30.0, n=n)
@@ -238,7 +249,7 @@ def test_level_grids_nest_bit_for_bit(t_half, n):
 
 @pytest.fixture(scope="module")
 def window_G():
-    return bc.EffectivePotential.from_callable(
+    return bc.EffectivePotential(
         lambda t: ((np.asarray(t) > 0) & (np.asarray(t) < 1)).astype(float))
 
 
@@ -260,8 +271,7 @@ def test_count_M_well_thresholds(window_G, default_grid):
 
 def test_count_M_matches_shooting_oracle(window_G, default_grid):
     for alpha in (1.0, 4.0, 25.0, 60.0):
-        G_scaled = bc.EffectivePotential.from_callable(
-            lambda t, a=alpha: a * window_G(t))
+        G_scaled = bc.EffectivePotential(lambda t, a=alpha: a * window_G(t))
         assert bc.count_M(window_G, alpha, default_grid) == shooting_negative_count(
             G_scaled, t_max=1.5, steps=8000)
 
@@ -313,7 +323,7 @@ def test_radial_counts_match_the_reference_on_every_level(spec):
     alphas = [0.5, 7.0, 40.0, 200.0]
     for level in range(policy.max_doublings + 1):
         grid = policy.level_grid(level)
-        got = spectra1d.radial_sample_counts(G(grid.interior), alphas, grid)
+        got = spectra1d.radial_counts(G(grid.interior), alphas, grid)
         assert got.tolist() == [list(reference_radial_values(G, a, grid)) for a in alphas]
 
 
@@ -329,7 +339,7 @@ def test_birman_schwinger_identity_random():
 
 
 def test_birman_schwinger_trivial_cases(default_grid):
-    zero = bc.EffectivePotential.from_callable(lambda t: np.zeros_like(np.asarray(t, float)))
+    zero = bc.EffectivePotential(lambda t: np.zeros_like(np.asarray(t, float)))
     assert bc.birman_schwinger_1d(zero, 0.1, default_grid) == 0
     dec = bc.decompose(bc.gaussian_well(1.0, 1.0))
     G = bc.effective_potential(dec)
@@ -361,8 +371,7 @@ def test_certified_count_converges_for_decaying_potential():
 
 def test_certified_count_flags_spreading_states():
     # 1/(1+t^2) keeps binding further out as the domain grows at this coupling
-    G = bc.EffectivePotential.from_callable(
-        lambda t: 1.0 / (1.0 + np.asarray(t, float) ** 2))
+    G = bc.EffectivePotential(lambda t: 1.0 / (1.0 + np.asarray(t, float) ** 2))
     policy = bc.GridPolicy(t_half=2.0, n=201, max_doublings=2, agreements=2)
     res = bc.certified_count(lambda g: bc.count_M(G, 400.0, g), policy)
     assert not res.converged

@@ -873,8 +873,7 @@ def test_radial_consistency_exact():
         spec = bc.RadialPotential(profile=prof)
         alpha = float(np.exp(rng.uniform(np.log(2.0), np.log(80.0))))
         sys_ = bc.assemble_full_2d(spec, alpha, grid, max_dimension=10 ** 6)
-        assert bc.count_full_2d(sys_)[0] == bc.count_radial_2d(
-            prof, alpha, grid, m_max=sys_.channel_set.m_max)
+        assert bc.count_full_2d(sys_)[0] == bc.count_radial_2d(prof, alpha, grid)
 
 
 def test_radial_tilde_equals_constrained_channel_sum():
