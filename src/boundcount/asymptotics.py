@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .potentials import EffectivePotential, PotentialSpec, decompose, effective_potential
-from .seminorms import bound_functional, weak_quasinorm, weyl_coefficient, zhat
+from .potentials import PotentialSpec, decompose, effective_potential
+from .seminorms import bound_functional, weyl_coefficient
 from .spectra1d import Grid1D, GridPolicy, certified_counts, count_M, radial_counts
 from .spectra2d import DEFAULT_MAX_DIMENSION, count_2d_auto
 
@@ -215,42 +215,30 @@ def check_estim(result: SweepResult) -> EstimReport:
 
 @dataclass(frozen=True)
 class PropAddReport:
-    """Window estimates of N/alpha^q for the 1D family (and optionally the
-    2D counts), for potentials whose zhat sits in weak-lq with q > 1."""
+    """Window estimates of N/alpha^q for the 1D family and the 2D counts,
+    for potentials whose zhat sits in weak-lq with q > 1 (its quasinorm is
+    ``weak_quasinorm(zhat(G, J), q)``)."""
 
     q: float
-    quasinorm_q: float
     limits_m: LimitEstimate
-    limits_2d: LimitEstimate | None = None
+    limits_2d: LimitEstimate
 
     def to_dict(self):
-        out = {
+        return {
             "q": self.q,
-            "weak_lq_quasinorm": self.quasinorm_q,
             "n_m_over_alpha_q": {"upper": self.limits_m.upper, "lower": self.limits_m.lower},
+            "n2d_over_alpha_q": {"upper": self.limits_2d.upper, "lower": self.limits_2d.lower},
         }
-        if self.limits_2d is not None:
-            out["n2d_over_alpha_q"] = {"upper": self.limits_2d.upper,
-                                       "lower": self.limits_2d.lower}
-        return out
 
 
-def check_prop_add(G: EffectivePotential, q: float, sweep_1d: SweepResult | tuple,
-                   sweep_2d: SweepResult | None = None, J: int = 40,
-                   window_fraction: float = 0.3) -> PropAddReport:
-    """Report the alpha^-q scaling of the 1D counts (the screening regime)."""
+def check_prop_add(result: SweepResult, q: float, window_fraction: float = 0.3
+                   ) -> PropAddReport:
+    """Report the alpha^-q scaling of the sweep's counts (the screening regime)."""
     if not q > 1:
         raise ValueError("the scaling check needs q > 1")
-    qn = weak_quasinorm(zhat(G, J=J), q)
-    if isinstance(sweep_1d, SweepResult):
-        alphas, counts = sweep_1d.alphas, sweep_1d.n_m
-    else:
-        alphas, counts = sweep_1d
-    lim_m = estimate_limits(alphas, counts, q, window_fraction)
-    lim_2d = None
-    if sweep_2d is not None:
-        lim_2d = estimate_limits(sweep_2d.alphas, sweep_2d.n2d, q, window_fraction)
-    return PropAddReport(q=q, quasinorm_q=qn, limits_m=lim_m, limits_2d=lim_2d)
+    return PropAddReport(q=q,
+                         limits_m=estimate_limits(result.alphas, result.n_m, q, window_fraction),
+                         limits_2d=estimate_limits(result.alphas, result.n2d, q, window_fraction))
 
 
 # ----------------------------------------------------------------------

@@ -20,14 +20,15 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import __version__
-from .asymptotics import (check_as2, check_estim, estimate_limits, read_sweep_csv,
-                          sweep, write_plot_files, write_sweep_csv)
+from .asymptotics import (check_as2, check_estim, check_prop_add, read_sweep_csv, sweep,
+                          write_plot_files, write_sweep_csv)
 from .config import ConfigError, RunConfig, load_config, write_manifest
 from .errors import (DomainError, MatrixSizeError, NonFiniteError, NumericalError,
                      QuadratureError, VerificationFailure)
 from .potentials import decompose, effective_potential
 from .seminorms import l1lp_norm, weak_norm_report, weyl_coefficient, zhat
-from .spectra1d import CountResult, Grid1D, count_M, count_channel, certified_count
+from .spectra1d import (CountResult, Grid1D, certified_count, check_sturm_rows, count_M,
+                        count_channel)
 from .spectra2d import (ChannelSet, assemble_full_2d, count_2d_auto, count_full_2d,
                         system_dimension)
 from .verify import run_suite
@@ -66,7 +67,7 @@ def _stderr_log(verbose: bool):
 # range of each numeric flag: (argument, accepts the value, what it must be)
 _FLAG_RANGES = (
     ("alpha", lambda v: 0 <= v < math.inf, "finite and >= 0"),
-    ("m", lambda v: v >= 0, ">= 0"),
+    ("m", lambda v: 0 <= v and v * v <= sys.float_info.max, ">= 0 with a finite m^2"),
     ("channels", lambda v: v >= 0, ">= 0"),
     ("alpha_min", lambda v: 0 < v < math.inf, "finite and > 0"),
     ("alpha_max", lambda v: 0 < v < math.inf, "finite and > 0"),
@@ -249,6 +250,7 @@ def cmd_sweep(args) -> int:
                           "(flags or a 'sweep' config section)")
     if not alpha_min < alpha_max:
         raise ConfigError(f"sweep needs alpha_min < alpha_max, got {alpha_min} and {alpha_max}")
+    check_sturm_rows(points, f"{points} sweep points")
     if not np.all(np.diff(np.geomspace(alpha_min, alpha_max, points)) > 0):
         raise ConfigError(f"sweep range [{alpha_min}, {alpha_max}] is too narrow "
                           f"for {points} distinct alphas")
@@ -280,13 +282,7 @@ def cmd_report(args) -> int:
             # a zero bound_b under counts above 1: the file contradicts itself
             raise ConfigError(f"{args.infile}: {exc}") from exc
     elif args.check == "prop-add":
-        lim = estimate_limits(result.alphas, result.n_m, args.q, window)
-        lim2d = estimate_limits(result.alphas, result.n2d, args.q, window)
-        payload = {
-            "q": args.q,
-            "n_m_over_alpha_q": {"upper": lim.upper, "lower": lim.lower},
-            "n2d_over_alpha_q": {"upper": lim2d.upper, "lower": lim2d.lower},
-        }
+        payload = check_prop_add(result, args.q, window).to_dict()
     else:
         raise ConfigError(f"unknown check {args.check!r}")
     payload["source"] = args.infile

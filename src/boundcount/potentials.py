@@ -8,8 +8,8 @@ radial part through the logarithmic substitution r = e^t to produce the
 effective one-dimensional potential G(t) = e^{2t} V_rad(e^t).
 
 The printed source formula for G carries e^{2|t|}; the substitution that
-justifies it forces e^{2t} (the measure change is r dr = e^{2t} dt).  Both
-conventions are available; "substitution" is the default.
+justifies it forces e^{2t} (the measure change is r dr = e^{2t} dt), the one
+form used here.
 """
 
 from __future__ import annotations
@@ -25,9 +25,6 @@ from .quadrature import angular_nodes
 
 # exp(2t) overflows beyond this; generic profiles cannot be pushed further
 _T_OVERFLOW = 354.0
-
-SUBSTITUTION = "substitution"
-LITERAL_ABS = "literal-abs"
 
 # validate_nonnegative's diagnostic grid: CHECK_N_R log-spaced radii over
 # CHECK_R_RANGE (clipped to a declared support) times CHECK_N_THETA angles
@@ -206,7 +203,7 @@ class FourierSumPotential(PotentialSpec):
     """Real Fourier sum: mode (0, c0) gives c0(r); mode (m, c, 'cos') adds
     2 cos(m theta) c(r); kind 'sin' adds 2 sin(m theta) c(r).
 
-    With this convention the complex mode coefficients are Vhat_{+-m} = c(r)
+    The complex mode coefficients are then Vhat_{+-m} = c(r)
     for 'cos' and -+ i c(r) for 'sin'.  Non-negativity of the sum is the
     caller's responsibility (validated by sampling at construction time via
     the config loader).
@@ -487,16 +484,12 @@ def decompose(spec: PotentialSpec, n_theta: int = 256) -> Decomposition:
 
 @dataclass(frozen=True)
 class EffectivePotential:
-    """The 1D potential G(t) >= 0 induced by a radial profile.
-
-    convention "substitution": G(t) = e^{2t} v_rad(e^t) (measure-consistent);
-    convention "literal-abs":  G(t) = e^{2|t|} v_rad(e^t).
-    ``edges`` are the t-positions of the profile's support edges, where G
-    may jump; integrals over t split their panels there.
+    """The 1D potential G(t) = e^{2t} v_rad(e^t) >= 0 induced by a radial
+    profile.  ``edges`` are the t-positions of the profile's support edges,
+    where G may jump; integrals over t split their panels there.
     """
 
     func: Callable[[np.ndarray], np.ndarray]
-    convention: str = SUBSTITUTION
     label: str = "G"
     edges: tuple[float, ...] = ()
 
@@ -543,20 +536,9 @@ def _substituted(f: Callable, support: tuple[float, float] | None) -> Callable:
     return form
 
 
-def effective_potential(dec: Decomposition, convention: str = SUBSTITUTION) -> EffectivePotential:
-    """Build G from a decomposition under the requested convention."""
-    if convention not in (SUBSTITUTION, LITERAL_ABS):
-        raise ConfigError(f"unknown effective-potential convention {convention!r}")
-    base = _substitution_G(dec.v_rad)
-    if convention == SUBSTITUTION:
-        func = base
-    else:
-        def func(t):
-            t = np.asarray(t, dtype=float)
-            # e^{2|t|} = e^{2t} * e^{-4 min(t, 0)}
-            return base(t) * np.exp(-4.0 * np.minimum(t, 0.0))
-    return EffectivePotential(func=func, convention=convention,
-                              label=f"G[{dec.spec.label}]",
+def effective_potential(dec: Decomposition) -> EffectivePotential:
+    """Build G from a decomposition."""
+    return EffectivePotential(func=_substitution_G(dec.v_rad), label=f"G[{dec.spec.label}]",
                               edges=_support_edges(dec.v_rad.support))
 
 

@@ -89,19 +89,14 @@ def _line_integral(g: Callable, edges, what: str) -> float:
     raise QuadratureError(f"{what} did not converge within {MAX_SHELLS} shells", partial=value)
 
 
-def _integrand(G) -> tuple[Callable, tuple]:
-    """G's evaluator and the support edges it carries, in t."""
-    return (G.func, G.edges) if isinstance(G, EffectivePotential) else (G, ())
-
-
-def zhat(G: EffectivePotential | Callable, J: int = 40) -> np.ndarray:
+def zhat(G: EffectivePotential, J: int = 40) -> np.ndarray:
     """The truncated sequence zhat_0..zhat_J: the first J + 1 pieces of the
     line with weight |t|.  Entry 0 integrates G over (-1, 1); entry j >= 1
     integrates |t| G(t) over e^{j-1} < |t| < e^j, both signs of t summed.
     A QuadratureError's ``interval`` is the entry that did not converge."""
     if J < 1:
         raise ValueError("truncation index J must be >= 1")
-    centre, shells = _line_pieces(*_integrand(G), 2.0)
+    centre, shells = _line_pieces(G.func, G.edges, 2.0)
     return np.array([centre, *shells(range(1, J + 1))])
 
 
@@ -233,11 +228,11 @@ def l1lp_norm(dec: Decomposition, p: float = 2.0, n_theta: int = 256) -> float:
     return _line_integral(integrand, edges, "the L1Lp norm")
 
 
-def weyl_coefficient(G: EffectivePotential | Callable) -> float:
-    """(4 pi)^-1 int_{R^2} V dx = (1/2) int_R G(t) dt under the substitution
-    convention.  QuadratureError (its ``partial`` a partial int G dt) means
-    the integral fails to converge and the coefficient is meaningless."""
-    return 0.5 * _line_integral(*_integrand(G), "int G dt")
+def weyl_coefficient(G: EffectivePotential) -> float:
+    """(4 pi)^-1 int_{R^2} V dx = (1/2) int_R G(t) dt.  QuadratureError (its
+    ``partial`` a partial int G dt) means the integral fails to converge and
+    the coefficient is meaningless."""
+    return 0.5 * _line_integral(G.func, G.edges, "int G dt")
 
 
 def bound_functional(dec: Decomposition, G: EffectivePotential | None = None,

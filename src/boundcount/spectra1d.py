@@ -5,8 +5,9 @@ Dirichlet ends; negative eigenvalues are counted exactly (for the matrix)
 by the Sturm pivot recurrence, so no eigenvalues are ever computed.  The
 interior constraint phi(0) = 0 deletes the t = 0 node, splitting the matrix
 into two independent half-line blocks.  Every count goes through one
-batched kernel, a split pass: each row is cut at a centre node (t = 0 when
-the grid has it), its two halves run inward from their Dirichlet ends as
+batched kernel, a split pass: each row is cut at a centre node (t = 0, which
+every count but a single channel's needs; that one cuts a grid without it
+at the middle node), its two halves run inward from their Dirichlet ends as
 stacked rows of one node loop of half the grid's length, and the centre's
 pivot closes the row.  The halves alone are the matrix with that node
 deleted, so one pass gives both a channel's count and, for m = 0, the
@@ -20,18 +21,27 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NonFiniteError, NumericalError
+from .errors import MatrixSizeError, NonFiniteError, NumericalError
 from .potentials import EffectivePotential
 
 log = logging.getLogger(__name__)
 
 # retry shift applied when the pivot recurrence hits an exact zero
 ZERO_PIVOT_SHIFT = -1e-12
+# Node ceiling of every grid, domain-doubling levels included, against 48001
+# for the largest grid the default policy or the tests use.
+MAX_NODES = 10_000_000
+# Row ceiling of one batched Sturm call (the rows of every alpha of a radial
+# count, one per channel), against a few hundred in a sweep to alpha = 2000:
+# each step chunk of the kernel then spans at most 2 x 100000 x NODE_CHUNK
+# floats (0.4 GB).
+MAX_STURM_ROWS = 100_000
 
 
 @dataclass(frozen=True)
@@ -45,8 +55,8 @@ class Grid1D:
     def __post_init__(self):
         if not self.t_min < self.t_max:
             raise ValueError("grid needs t_min < t_max")
-        if self.n < 3:
-            raise ValueError("grid needs at least 3 nodes")
+        if not 3 <= self.n <= MAX_NODES:
+            raise ValueError(f"grid needs 3 to {MAX_NODES} nodes, got {self.n}")
         h2 = self.h * self.h
         if not (h2 > 0 and 0 < 1.0 / h2 < math.inf):
             raise ValueError(f"grid spacing h = {self.h!r} is out of range "
@@ -104,7 +114,14 @@ class GridPolicy:
     agreements: int = 2
 
     def __post_init__(self):
-        self.base_grid()  # a bad spacing fails here: every level has the base grid's h
+        # a bad spacing fails on the base grid: every level has its h
+        spans = self.base_grid().n - 1
+        # the top level has (spans << max_doublings) + 1 nodes (level_grid);
+        # past bit_length doublings that is beyond the ceiling uncomputed
+        if (self.max_doublings >= MAX_NODES.bit_length()
+                or (spans << self.max_doublings) + 1 > MAX_NODES):
+            raise ValueError(f"domain-doubling level {self.max_doublings} of a {spans + 1}-node "
+                             f"base grid exceeds the ceiling of {MAX_NODES} nodes")
 
     def base_grid(self) -> Grid1D:
         return Grid1D.symmetric(self.t_half, self.n)
@@ -317,8 +334,18 @@ def tridiagonal_negative_count(diag, offdiag, shift: float = 0.0) -> int:
     return int(_pivot_counts(_ExplicitRows(diag[None, :]), offdiag * offdiag, shift=shift)[0][0])
 
 
-def _channel_diags(G, alpha: float, ms: Sequence[int], grid: Grid1D) -> np.ndarray:
-    gvals = np.asarray(G(grid.interior), dtype=float)
+def _zero_node(grid: Grid1D) -> int:
+    """The interior index of the t = 0 node, which every count that deletes
+    it or ends at it needs: ValueError on a grid without one."""
+    zero = grid.zero_index
+    if zero is None:
+        raise ValueError("this count needs a grid node at t = 0")
+    return zero
+
+
+def _channel_diags(G: EffectivePotential, alpha: float, ms: Sequence[int], grid: Grid1D
+                   ) -> np.ndarray:
+    gvals = G(grid.interior)
     kin = 2.0 / (grid.h * grid.h)
     m2 = np.asarray([float(m * m) for m in ms])
     return kin + (m2[:, None] - alpha * gvals[None, :])
@@ -342,39 +369,44 @@ def channel_row_counts(gvals: np.ndarray, grid: Grid1D, alphas, ms
     return _pivot_counts(source, off * off, grid.zero_index)
 
 
-def _g_samples(G, grid: Grid1D) -> np.ndarray:
-    return np.asarray(G(grid.interior), dtype=float)
-
-
-def count_M(G: EffectivePotential | Callable, alpha: float, grid: Grid1D) -> int:
+def count_M(G: EffectivePotential, alpha: float, grid: Grid1D) -> int:
     """N_-( -phi'' - alpha G phi ), phi(0) = 0: the sum of the two half-line
     Dirichlet blocks obtained by deleting the t = 0 node."""
-    if not grid.has_node_at_zero:
-        raise ValueError("count_M needs a grid node at t=0")
-    return int(channel_row_counts(_g_samples(G, grid), grid, [alpha], [0])[1][0])
+    _zero_node(grid)
+    return int(channel_row_counts(G(grid.interior), grid, [alpha], [0])[1][0])
 
 
-def count_channel(G: EffectivePotential | Callable, alpha: float, m: int, grid: Grid1D) -> int:
+def count_channel(G: EffectivePotential, alpha: float, m: int, grid: Grid1D) -> int:
     """N_-( -w'' + m^2 w - alpha G w ) on the truncated line, Dirichlet ends."""
-    return int(channel_row_counts(_g_samples(G, grid), grid, [alpha], [int(m)])[0][0])
+    return int(channel_row_counts(G(grid.interior), grid, [alpha], [int(m)])[0][0])
 
 
-def count_channels(G, alpha: float, ms: Sequence[int], grid: Grid1D) -> np.ndarray:
+def count_channels(G: EffectivePotential, alpha: float, ms: Sequence[int], grid: Grid1D
+                   ) -> np.ndarray:
     """Batched channel counts sharing one potential evaluation; row-for-row
     identical to count_channel on the same grid."""
     ms = list(ms)
     if not ms:
         return np.zeros(0, dtype=np.int64)
-    return channel_row_counts(_g_samples(G, grid), grid, np.full(len(ms), float(alpha)), ms)[0]
+    return channel_row_counts(G(grid.interior), grid, np.full(len(ms), float(alpha)), ms)[0]
+
+
+def check_sturm_rows(rows: int, what: str) -> None:
+    """MatrixSizeError when ``what`` needs more than MAX_STURM_ROWS rows."""
+    if rows > MAX_STURM_ROWS:
+        raise MatrixSizeError(f"{what} need {rows} Sturm rows, above the ceiling of "
+                              f"{MAX_STURM_ROWS}; use a smaller coupling or fewer points")
 
 
 def radial_m_max(gvals: np.ndarray, alpha: float) -> int:
     """Smallest m with m^2 >= alpha max_i G(t_i) for the samples ``gvals``:
-    every radial channel beyond it is positive definite on that grid."""
+    every radial channel beyond it is positive definite on that grid (an
+    overflowing product reads as the largest float, whose cutoff is still
+    beyond every ceiling)."""
     sup = float(np.max(gvals)) if gvals.size else 0.0
     if sup <= 0 or alpha <= 0:
         return 0
-    return int(math.ceil(math.sqrt(alpha * sup)))
+    return int(math.ceil(math.sqrt(min(alpha * sup, sys.float_info.max))))
 
 
 def radial_counts(gvals: np.ndarray, alphas, grid: Grid1D) -> np.ndarray:
@@ -386,14 +418,15 @@ def radial_counts(gvals: np.ndarray, alphas, grid: Grid1D) -> np.ndarray:
     maximum of G), every m >= 1 weighted twice for its cos and sin copies.
     N_-(M) is the m = 0 row's count with the t = 0 node deleted, which the
     kernel's split pass gives with the full count, and the constrained
-    count is N_-(M) plus the m >= 1 channels.
+    count is N_-(M) plus the m >= 1 channels.  More than MAX_STURM_ROWS
+    channels in all raise MatrixSizeError before any row is built.
     """
     alphas = np.asarray(alphas, dtype=float)
-    if not grid.has_node_at_zero:
-        raise ValueError("radial counts need a grid node at t=0")
+    _zero_node(grid)
     if alphas.size == 0:
         return np.zeros((0, 3), dtype=np.int64)
     tops = [radial_m_max(gvals, float(alpha)) for alpha in alphas]
+    check_sturm_rows(sum(tops) + len(tops), "the radial channels")
     ms = np.concatenate([np.arange(top + 1) for top in tops])
     starts = np.concatenate(([0], np.cumsum(np.asarray(tops) + 1)[:-1]))
     full, halves = channel_row_counts(gvals, grid, np.repeat(alphas, np.asarray(tops) + 1), ms)
@@ -402,7 +435,7 @@ def radial_counts(gvals: np.ndarray, alphas, grid: Grid1D) -> np.ndarray:
     return np.stack([full[starts] + pairs, n_m + pairs, n_m], axis=1)
 
 
-def birman_schwinger_1d(G: EffectivePotential | Callable, eps: float, grid: Grid1D) -> int:
+def birman_schwinger_1d(G: EffectivePotential, eps: float, grid: Grid1D) -> int:
     """n_+(eps, F_G) for the 1D Birman-Schwinger operator with Rayleigh
     quotient int G w^2 / int w'^2 on { w(0) = 0 }.
 
@@ -413,6 +446,4 @@ def birman_schwinger_1d(G: EffectivePotential | Callable, eps: float, grid: Grid
     """
     if not eps > 0:
         raise ValueError("threshold must be positive")
-    if not grid.has_node_at_zero:
-        raise ValueError("Birman-Schwinger grid needs a node at t=0")
     return count_M(G, 1.0 / eps, grid)

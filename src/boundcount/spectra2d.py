@@ -31,7 +31,8 @@ dtheta = 0; removing that single row restores the full operator, hence
 the rank-one sandwich count_tilde <= count_full <= count_tilde + 1.  One
 block pass, which factors the t = 0 slice last, gives both counts: every
 earlier step is a Schur complement onto that slice, so deleting its constant
-row at the end is exact.
+row at the end is exact.  A 2D count therefore needs a grid with a node at
+t = 0, as every GridPolicy grid has, and raises ValueError on any other.
 """
 
 from __future__ import annotations
@@ -45,14 +46,18 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import MatrixSizeError, NumericalError
-from .potentials import (Decomposition, EffectivePotential, PotentialSpec, RadialProfile,
-                         RadialPotential, decompose, effective_potential)
+from .potentials import EffectivePotential, PotentialSpec, decompose, effective_potential
 from .spectra1d import (Grid1D, ZERO_PIVOT_SHIFT, _channel_diags, _ExplicitRows, _pivot_pass,
-                        channel_row_counts, radial_counts, radial_m_max)
+                        _zero_node, radial_counts, radial_m_max)
 
 log = logging.getLogger(__name__)
 
 DEFAULT_MAX_DIMENSION = 12000
+# Ceiling on B x n_int of a radial system, which max_dimension does not bound
+# (its count is one Sturm pass over the channels): 3 arrays of that many
+# floats, 240 MB, against 29 channels on 5999 slices for the largest the
+# tests assemble.
+MAX_RADIAL_DIMENSION = 10_000_000
 
 # Coupled channel cutoff: modes added above the Gershgorin bound and the
 # highest declared Fourier mode, then per escalation while the count changes.
@@ -84,11 +89,11 @@ class ChannelSet:
         return 2 * self.m_max + 1
 
 
-def radial_cutoff_m_max(G: EffectivePotential | Callable, alpha: float, grid: Grid1D) -> int:
+def radial_cutoff_m_max(G: EffectivePotential, alpha: float, grid: Grid1D) -> int:
     """Smallest m with m^2 >= alpha max_i G(t_i): for radial potentials the
     channel matrix K + diag(m^2 - alpha G) is then positive definite, so all
     omitted channels are provably empty at the matrix level."""
-    return radial_m_max(np.asarray(G(grid.interior), dtype=float), alpha)
+    return radial_m_max(G(grid.interior), alpha)
 
 
 def coupled_cutoff_m_max(spec: PotentialSpec, alpha: float, grid: Grid1D,
@@ -105,7 +110,7 @@ def coupled_cutoff_m_max(spec: PotentialSpec, alpha: float, grid: Grid1D,
     row = np.abs(vhat[:, 0].real) + 2.0 * np.sum(np.abs(vhat[:, 1:]), axis=-1)
     live = row > 0
     sup = float(np.max(weight[live] * row[live])) if np.any(live) else 0.0
-    base = int(math.ceil(math.sqrt(alpha * sup))) if sup > 0 and alpha > 0 else 0
+    base = radial_m_max(np.array([sup]), alpha)  # the same rule on the coupling bound
     return base + (hint if hint is not None else k_probe) + CUTOFF_GUARD
 
 
@@ -215,16 +220,14 @@ class BlockSystem2D:
 
 def assemble_full_2d(spec: PotentialSpec, alpha: float, grid: Grid1D,
                      channels: ChannelSet | int | None = None,
-                     n_theta: int = 256, max_dimension: int = DEFAULT_MAX_DIMENSION,
-                     dec: Decomposition | None = None,
-                     G: EffectivePotential | None = None) -> BlockSystem2D:
-    """Assemble the discretized quadratic form of H_{alpha V}."""
+                     n_theta: int = 256, max_dimension: int = DEFAULT_MAX_DIMENSION
+                     ) -> BlockSystem2D:
+    """Assemble the discretized quadratic form of H_{alpha V}.  A coupled
+    system of more than ``max_dimension`` rows, or a radial one of more than
+    MAX_RADIAL_DIMENSION, raises MatrixSizeError before its arrays are built."""
     if alpha < 0:
         raise ValueError("coupling must be non-negative")
-    if dec is None:
-        dec = decompose(spec, n_theta)
-    if G is None:
-        G = effective_potential(dec)
+    G = effective_potential(decompose(spec, n_theta))
     if channels is None:
         channels = (radial_cutoff_m_max(G, alpha, grid) if spec.is_radial
                     else coupled_cutoff_m_max(spec, alpha, grid, n_theta))
@@ -234,10 +237,11 @@ def assemble_full_2d(spec: PotentialSpec, alpha: float, grid: Grid1D,
     # radial systems stay block-diagonal (all free tail: one Sturm pass over
     # the channels; radial count_2d_auto counts assemble none), so the
     # dense-dimension ceiling applies to coupled systems only
-    if not spec.is_radial and B * n_int > max_dimension:
+    ceiling = MAX_RADIAL_DIMENSION if spec.is_radial else max_dimension
+    if B * n_int > ceiling:
         raise MatrixSizeError(
-            f"system dimension {B * n_int} exceeds ceiling {max_dimension}; "
-            "use fewer channels or a coarser grid (the ceiling is configurable)")
+            f"system dimension {B * n_int} exceeds ceiling {ceiling}; use fewer channels or "
+            "a coarser grid" + ("" if spec.is_radial else " (the ceiling is configurable)"))
     ms = [m for _, m in channel_set.channels]
     chan_diag = _channel_diags(G, alpha, ms, grid)
     if spec.is_radial:
@@ -365,7 +369,7 @@ class _Carried:
 
 
 def _level_pass(sys: BlockSystem2D, shift: float,
-                carried: _Carried | None) -> tuple[int, int | None, _Carried | None]:
+                carried: _Carried | None) -> tuple[int, int, _Carried]:
     """(N_-(H), N_-(H~), the state to carry) of one system: see _BlockPass.
 
     Each side of c is eliminated from c outward up to the slice before its
@@ -385,8 +389,7 @@ def _level_pass(sys: BlockSystem2D, shift: float,
     e = 1.0 / sys.grid.h ** 2
     esq = e * e
     n_int, B = sys.chan_diag.shape[1], sys.channel_set.size
-    zero = sys.grid.zero_index
-    c = n_int - 1 if zero is None else zero
+    c = sys.grid.zero_index
     lost = np.zeros((B, B))  # what the slices of both sides take from c's block
     sides = (np.arange(c - 1, -1, -1), np.arange(c + 1, n_int))  # side[k - 1]: offset k
     tails = [_free_tail(sys, side[::-1]) for side in sides]
@@ -400,7 +403,7 @@ def _level_pass(sys: BlockSystem2D, shift: float,
         raise _SingularPivot("exact zero pivot in a free tail")
     total = int(halves.sum())
     taken = np.split(esq * (1.0 / last), 2)  # what each tail takes from the slice it meets
-    if carried is not None and (zero is None or not carried.continues(sys, c) or any(
+    if carried is not None and (not carried.continues(sys, c) or any(
             max(live - 1, 0) < state.reach for live, state in zip(lives, carried.sides))):
         carried = None
     states = [_Side.fresh(B, e) for _ in sides] if carried is None else carried.sides
@@ -479,8 +482,6 @@ def _level_pass(sys: BlockSystem2D, shift: float,
         lost += np.sum(Z @ T @ np.swapaxes(Z, 1, 2), 0)
     D_c = D_last[-1] - lost
     full = total + _negatives(np.linalg.eigvalsh(D_c)[None], [c])
-    if zero is None:
-        return full, None, None
     tilde = total + _negatives(np.linalg.eigvalsh(D_c[1:, 1:])[None], [c])
     return full, tilde, _Carried(negatives_carried, new, sys.grid, sys.alpha,
                                  _rows(sys, [c - reach[0], c, c + reach[1]]))
@@ -492,9 +493,9 @@ class _BlockPass:
 
     The inertia of the block-tridiagonal matrix is the sum of the inertias
     of its pivot blocks, in any elimination order.  Both sides of the
-    separator slice c (the t = 0 slice, or the last slice without a t = 0
-    node) are eliminated onto c, which is factored last: whole for N_-(H),
-    without its constant channel for N_-(H~).  Every earlier step is a Schur
+    separator slice c, the t = 0 slice, are eliminated onto c, which is
+    factored last: whole for N_-(H), without its constant channel for
+    N_-(H~).  Every earlier step is a Schur
     complement onto c, and c's constant row is part of no other pivot, so
     deleting it at the end is exact.  Each side is eliminated from c
     outward, so the state it reaches on one level is the start of the next
@@ -516,7 +517,7 @@ class _BlockPass:
         self.shift = 0.0
         self.carried: _Carried | None = None
 
-    def count(self, sys: BlockSystem2D) -> tuple[int, int | None]:
+    def count(self, sys: BlockSystem2D) -> tuple[int, int]:
         try:
             full, tilde, self.carried = _level_pass(sys, self.shift, self.carried)
         except _SingularPivot as exc:
@@ -529,9 +530,9 @@ class _BlockPass:
         return full, tilde
 
 
-def count_full_2d(sys: BlockSystem2D, passes: dict | None = None) -> tuple[int, int | None]:
+def count_full_2d(sys: BlockSystem2D, passes: dict | None = None) -> tuple[int, int]:
     """Exact negative-eigenvalue counts (N_-(H), N_-(H~)) of the assembled
-    system from one pass; N_-(H~) is None on a grid without a t = 0 node.
+    system from one pass; ValueError on a grid without a t = 0 node.
 
     ``passes``, kept by the caller from one domain-doubling level to the
     next, holds the pass of each channel cutoff (m_max), which continues the
@@ -539,24 +540,18 @@ def count_full_2d(sys: BlockSystem2D, passes: dict | None = None) -> tuple[int, 
     without it.  A nearly singular pivot block, or an exact zero pivot in a
     free tail, re-runs the level, for both counts, at the shift
     ZERO_PIVOT_SHIFT, which a carried pass keeps for the later levels."""
+    _zero_node(sys.grid)
     if passes is None:
         return _BlockPass().count(sys)
     return passes.setdefault(sys.channel_set.m_max, _BlockPass()).count(sys)
 
 
-def count_radial_2d(v_rad: RadialProfile | EffectivePotential | Callable,
-                    alpha: float, grid: Grid1D) -> int:
-    """N_- of the 2D operator for a radial potential: the sum of channel
-    counts over |m| <= m_max, with the cutoff chosen so omitted channels are
-    positive definite by construction."""
-    G = v_rad
-    if isinstance(v_rad, RadialProfile):
-        G = effective_potential(decompose(RadialPotential(profile=v_rad)))
-    gvals = np.asarray(G(grid.interior), dtype=float)
-    m_max = radial_m_max(gvals, alpha)
-    counts, _ = channel_row_counts(gvals, grid, np.full(m_max + 1, float(alpha)),
-                                   np.arange(m_max + 1))
-    return int(counts[0] + 2 * np.sum(counts[1:]))
+def count_radial_2d(G: EffectivePotential, alpha: float, grid: Grid1D) -> int:
+    """N_- of the 2D operator for the radial potential whose effective
+    potential is G: the sum of channel counts over |m| <= m_max, with the
+    cutoff chosen so omitted channels are positive definite by construction
+    (``radial_counts``' first column)."""
+    return int(radial_counts(G(grid.interior), [alpha], grid)[0, 0])
 
 
 def count_tilde(spec: PotentialSpec, alpha: float, grid: Grid1D,
@@ -564,8 +559,6 @@ def count_tilde(spec: PotentialSpec, alpha: float, grid: Grid1D,
                 max_dimension: int = DEFAULT_MAX_DIMENSION) -> int:
     """N_- of the constrained operator (mean of u over the unit circle
     vanishes): the constant channel loses its t = 0 node."""
-    if not grid.has_node_at_zero:
-        raise ValueError("the constrained count needs a grid node at t=0")
     sys = assemble_full_2d(spec, alpha, grid, channels, n_theta, max_dimension=max_dimension)
     return count_full_2d(sys)[1]
 
@@ -597,12 +590,8 @@ def count_2d_auto(spec: PotentialSpec, alpha: float, grid: Grid1D, n_theta: int 
     domain-doubling levels of one spec and alpha, lets each level continue
     the previous level's pass of every m_max.
     """
-    if not grid.has_node_at_zero:
-        raise ValueError("count_2d_auto needs a grid node at t=0")
-    dec = decompose(spec, n_theta)
-    G = effective_potential(dec)
     if spec.is_radial:
-        gvals = G(grid.interior)
+        gvals = effective_potential(decompose(spec, n_theta))(grid.interior)
         full, tilde, _ = radial_counts(gvals, [alpha], grid)[0]
         m_max = radial_m_max(gvals, alpha)
         return (int(full), m_max, True), (int(tilde), m_max, True)
@@ -611,8 +600,7 @@ def count_2d_auto(spec: PotentialSpec, alpha: float, grid: Grid1D, n_theta: int 
     @cache
     def run(mm: int) -> tuple[int, int]:
         return count_full_2d(assemble_full_2d(spec, alpha, grid, ChannelSet(mm), n_theta,
-                                              max_dimension=max_dimension, dec=dec, G=G),
-                             passes)
+                                              max_dimension=max_dimension), passes)
 
     def escalate(which: int) -> tuple[int, int, bool]:
         m_max = start
@@ -645,15 +633,13 @@ def hardy_ratio(f, which: str, grid: Grid1D) -> float:
     h = grid.h
     nodes = grid.nodes
     if which == "F0":
-        if not grid.has_node_at_zero:
-            raise ValueError("F0 ratio needs a grid node at t=0")
+        zero = _zero_node(grid)
         vals = np.asarray(f(nodes), dtype=float).copy()
         vals[0] = vals[-1] = 0.0
-        i0 = grid.zero_index + 1  # interior index -> node index
-        vals[i0] = 0.0
+        vals[zero + 1] = 0.0  # interior index -> node index
         interior = vals[1:-1]
         t = grid.interior
-        mask = np.arange(t.size) != grid.zero_index
+        mask = np.arange(t.size) != zero
         weighted = h * float(np.sum(interior[mask] ** 2 / t[mask] ** 2))
         dirichlet = float(np.sum(np.diff(vals) ** 2)) / h
         if dirichlet == 0.0:

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .potentials import EffectivePotential, FourierSumPotential, RadialPotential, gaussian_profile
+from .potentials import (EffectivePotential, FourierSumPotential, RadialPotential, decompose,
+                         effective_potential, gaussian_profile)
 from .spectra1d import Grid1D, birman_schwinger_1d, count_M
 from .spectra2d import (ChannelSet, assemble_full_2d, birman_schwinger_2d, count_full_2d,
                         count_radial_2d, hardy_ratio)
@@ -174,7 +175,7 @@ def suite_radial_consistency(seed: int = 1234, cases: int = 10) -> SuiteReport:
         spec = RadialPotential(profile=gaussian_profile(amp, width))
         alpha = float(np.exp(rng.uniform(np.log(2.0), np.log(80.0))))
         full = count_full_2d(assemble_full_2d(spec, alpha, grid))[0]
-        channel_sum = count_radial_2d(spec.profile, alpha, grid)
+        channel_sum = count_radial_2d(effective_potential(decompose(spec)), alpha, grid)
         report.record(full == channel_sum,
                       f"case {i:02d}: block count={full}, channel sum={channel_sum} (alpha={alpha:.3f})")
     return report

@@ -5,7 +5,6 @@ import math
 import numpy as np
 
 from boundcount.errors import NonFiniteError, QuadratureError
-from boundcount.potentials import EffectivePotential
 from boundcount.quadrature import _GL_NODES, _GL_WEIGHTS
 
 
@@ -193,8 +192,7 @@ def _reference_block_sweep(sys_, shift):
     esq = (1.0 / sys_.grid.h ** 2) ** 2
     blocks = reference_slice_blocks(sys_, shift)
     n_int = len(blocks)
-    zero = sys_.grid.zero_index
-    last = n_int - 1 if zero is None else zero
+    last = sys_.grid.zero_index
     total = 0
     D_last = blocks[last].copy()
     for order in (range(last), range(n_int - 1, last, -1)):
@@ -209,8 +207,6 @@ def _reference_block_sweep(sys_, shift):
         if prev_inv is not None:
             D_last -= esq * prev_inv
     full = total + _reference_negatives(np.linalg.eigvalsh(D_last))
-    if zero is None:
-        return full, None
     return full, total + _reference_negatives(np.linalg.eigvalsh(D_last[1:, 1:]))
 
 
@@ -285,9 +281,7 @@ def _reference_split_integral(f, a, b, cuts, rel_tol=1e-8, interval_id=None):
 
 
 def _reference_jumps(G):
-    edges = G.edges if isinstance(G, EffectivePotential) else ()
-    g = G.func if isinstance(G, EffectivePotential) else G
-    return g, edges, [math.log(abs(t)) for t in edges if abs(t) > 1.0]
+    return G.func, G.edges, [math.log(abs(t)) for t in G.edges if abs(t) > 1.0]
 
 
 def reference_zhat(G, J):

@@ -141,7 +141,7 @@ def test_criterion_4_radial_channel_consistency():
         alpha = float(np.exp(rng.uniform(np.log(2.0), np.log(80.0))))
         sys_ = bc.assemble_full_2d(spec, alpha, grid, max_dimension=10 ** 6)
         full = bc.count_full_2d(sys_)[0]
-        chans = bc.count_radial_2d(prof, alpha, grid)
+        chans = bc.count_radial_2d(bc.effective_potential(bc.decompose(spec)), alpha, grid)
         if full != chans:
             bad.append((i, full, chans))
     elapsed = time.monotonic() - t0

@@ -166,6 +166,13 @@ def test_check_estim_rejects_inconsistent_bound():
         bc.check_estim(res)
 
 
+def counts_sweep(alphas, n_m):
+    """A SweepResult whose 1D and 2D counts are both ``n_m``."""
+    return bc.SweepResult(alphas=alphas, n2d=n_m, n_tilde=n_m, n_m=n_m,
+                          converged=np.ones(alphas.size, dtype=bool), weyl=0.0, bound_b=0.0,
+                          p=2.0)
+
+
 def test_check_prop_add_finite_support():
     prof = bc.inverse_square_ring(1.0, 1.0, np.e)
     dec = bc.decompose(bc.RadialPotential(profile=prof))
@@ -173,9 +180,10 @@ def test_check_prop_add_finite_support():
     grid = bc.Grid1D.symmetric(10.0, 2001)
     alphas = np.geomspace(20.0, 400.0, 10)
     counts = np.array([bc.count_M(G, a, grid) for a in alphas])
-    rep = bc.check_prop_add(G, 2.0, (alphas, counts), J=10)
+    rep = bc.check_prop_add(counts_sweep(alphas, counts), 2.0)
+    assert rep.limits_m == rep.limits_2d == bc.estimate_limits(alphas, counts, 2.0)
     assert rep.limits_m.upper <= 0.01  # N = O(sqrt(alpha)) dies under alpha^-2
-    assert np.isfinite(rep.quasinorm_q)
+    assert np.isfinite(bc.weak_quasinorm(bc.zhat(G, J=10), 2.0))
 
 
 def test_check_prop_add_heavy_tail_family():
@@ -192,11 +200,12 @@ def test_check_prop_add_heavy_tail_family():
     grid = bc.Grid1D.symmetric(30.0, 3001)
     alphas = np.geomspace(10.0, 100.0, 6)
     counts = np.array([bc.count_M(G, a, grid) for a in alphas])
-    rep = bc.check_prop_add(G, 2.0, (alphas, counts))
+    rep = bc.check_prop_add(counts_sweep(alphas, counts), 2.0)
+    assert rep.limits_m == bc.estimate_limits(alphas, counts, 2.0)
     assert rep.limits_m.lower > 0
     assert np.isfinite(rep.limits_m.upper)
     with pytest.raises(ValueError):
-        bc.check_prop_add(G, 1.0, (alphas, counts))
+        bc.check_prop_add(counts_sweep(alphas, counts), 1.0)
 
 
 def test_csv_round_trip(tmp_path, gaussian_sweep):

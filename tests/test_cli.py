@@ -656,6 +656,8 @@ def test_decompose_rejects_bad_radii(tmp_path, capsys, radii):
     (["report", "--check", "prop-add", "--q", "0"], "--q"),
     (["report", "--check", "prop-add", "--q", "-1"], "--q"),
     (["report", "--check", "prop-add", "--q", "1"], "--q"),
+    # m^2 = 1e320 is past the largest float
+    (["count1d", "--alpha", "5", "--m", str(10 ** 160), "--grid=-4,4,81"], "--m"),
 ])
 def test_out_of_range_flag_exits_2_with_one_line(tmp_path, capsys, argv, flag):
     files = {"sweep": ["--config", write_config(tmp_path, DISK_CONFIG),
@@ -667,6 +669,36 @@ def test_out_of_range_flag_exits_2_with_one_line(tmp_path, capsys, argv, flag):
     captured = capsys.readouterr()
     assert captured.err.startswith(f"config error: bad {flag} value")
     assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+@pytest.mark.parametrize("argv, policy, code, message", [
+    # a radial m_max of about 6e149 channels: one Sturm row each
+    (["count2d", "--alpha", "1e300"], None, 1, "computation error: the radial channels need 6"),
+    (["sweep", "--alpha-min", "1", "--alpha-max", "1e300", "--points", "4"], None, 1,
+     "computation error: the radial channels need 6"),
+    # a pinned radial system of 2 x 10^12 + 1 channels on 79 slices
+    (["count2d", "--alpha", "3", "--channels", str(10 ** 12)], None, 1,
+     "computation error: system dimension 158000000000079 exceeds ceiling 10000000;"),
+    (["sweep", "--alpha-min", "1", "--alpha-max", "2", "--points", str(10 ** 30)], None, 1,
+     f"computation error: {10 ** 30} sweep points need {10 ** 30} Sturm rows"),
+    (["count1d", "--alpha", "3"], {"n": 10 ** 30}, 2,
+     "config error: config invalid at grid_policy: grid needs 3 to 10000000 nodes"),
+    (["count1d", "--alpha", "3"], {"max_doublings": 10 ** 30}, 2,
+     "config error: config invalid at grid_policy: domain-doubling level 10000000000"),
+])
+def test_a_size_past_its_ceiling_exits_in_one_line(tmp_path, capsys, argv, policy, code,
+                                                   message):
+    # every value here is rejected before an array of its size is built
+    doc = {"potential": GAUSSIAN_CONFIG["potential"],
+           "grid_policy": {"t_half": 4.0, "n": 81, "max_doublings": 1, "agreements": 1,
+                           **(policy or {})}}
+    files = ["--config", write_config(tmp_path, doc)]
+    if argv[0] == "sweep":
+        files += ["--out", str(tmp_path / "s.csv")]
+    assert cli.main(argv[:1] + files + argv[1:]) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message) and captured.err.count("\n") == 1
+    assert captured.out == ""
 
 
 def test_sweep_range_must_increase(tmp_path, capsys):

@@ -221,19 +221,6 @@ def test_effective_potential_log_profile_closed_form():
     assert G(t) == pytest.approx(1.0 / (1.0 + t * t), rel=1e-12)
 
 
-def test_effective_potential_conventions_differ_for_negative_t():
-    prof = bc.RadialProfile(lambda r: 1.0 / (r * r * (1.0 + np.log(r) ** 2)))
-    dec = bc.decompose(bc.RadialPotential(profile=prof))
-    G_sub = bc.effective_potential(dec, "substitution")
-    G_lit = bc.effective_potential(dec, "literal-abs")
-    t = np.array([-2.0])
-    assert G_lit(t)[0] == pytest.approx(G_sub(t)[0] * math.exp(8.0), rel=1e-12)
-    tp = np.array([2.0])
-    assert G_lit(tp)[0] == pytest.approx(G_sub(tp)[0], rel=1e-14)
-    with pytest.raises(ConfigError):
-        bc.effective_potential(dec, "bogus")
-
-
 def test_measure_change_identity():
     # int_a^b V_rad(r) r dr == int_{ln a}^{ln b} G(t) dt
     rng = np.random.default_rng(7)

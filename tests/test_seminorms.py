@@ -33,7 +33,7 @@ def brute_force_quasinorm(x, q):
 
 
 def test_zhat_zero_potential():
-    zh = bc.zhat(lambda t: np.zeros_like(np.asarray(t, float)), J=6)
+    zh = bc.zhat(bc.EffectivePotential(lambda t: np.zeros_like(np.asarray(t, float))), J=6)
     assert np.all(zh == 0.0)
 
 
@@ -59,7 +59,7 @@ def test_zhat_borderline_decay_and_oracle():
         t = np.asarray(t, dtype=float)
         return 1.0 / ((1.0 + t * t) * (1.0 + np.log1p(np.abs(t))))
 
-    zh = bc.zhat(g, J=40)
+    zh = bc.zhat(bc.EffectivePotential(g), J=40)
     j = np.arange(5, 41)
     assert np.all(zh[5:] * j >= 0.5)
     assert np.all(zh[5:] * j <= 2.0)
@@ -73,15 +73,15 @@ def test_zhat_borderline_decay_and_oracle():
 def test_zhat_additive_in_G():
     g1 = lambda t: np.exp(-np.asarray(t, float) ** 2)
     g2 = lambda t: 1.0 / (1.0 + np.asarray(t, float) ** 4)
-    z1 = bc.zhat(g1, J=8)
-    z2 = bc.zhat(g2, J=8)
-    z12 = bc.zhat(lambda t: g1(t) + g2(t), J=8)
+    z1 = bc.zhat(bc.EffectivePotential(g1), J=8)
+    z2 = bc.zhat(bc.EffectivePotential(g2), J=8)
+    z12 = bc.zhat(bc.EffectivePotential(lambda t: g1(t) + g2(t)), J=8)
     assert z12 == pytest.approx(z1 + z2, abs=1e-10)
 
 
 def test_zhat_requires_positive_truncation():
     with pytest.raises(ValueError):
-        bc.zhat(lambda t: np.zeros_like(t), J=0)
+        bc.zhat(bc.EffectivePotential(lambda t: np.zeros_like(t)), J=0)
 
 
 # ---------------------------------------------------------------- n_plus / quasinorm
@@ -364,15 +364,16 @@ def test_weyl_divergent_raises():
 
 def reference_Gs():
     """G's of every shape the line integrals meet: smooth, jumps at and off
-    the panel edges, flat windows, slow tails, and a bare callable; then the
-    families of the benchmark's norms requests, with parameters off 1."""
+    the panel edges, flat windows, slow tails, and one without support
+    edges; then the families of the benchmark's norms requests, with
+    parameters off 1."""
     radial = [bc.gaussian_well(1.0, 1.0), bc.disk_well(1.0, 0.998), bc.disk_well(1.0, 1.0),
               bc.disk_well(1.0, 1.133), bc.RadialPotential(profile=bc.ring_profile(1.0, 0.5, 5.0)),
               bc.RadialPotential(profile=bc.inverse_square_ring(1.0, 0.3, 3.0)),
               bc.log_borderline(1.0), bc.gaussian_well(0.93, 1.17), bc.disk_well(1.13, 1.0),
               bc.log_borderline(1.7)]
     Gs = [bc.effective_potential(bc.decompose(spec)) for spec in radial]
-    return Gs + [lambda t: 1.0 / (1.0 + np.asarray(t, float) ** 4)]
+    return Gs + [bc.EffectivePotential(lambda t: 1.0 / (1.0 + np.asarray(t, float) ** 4))]
 
 
 def bits(x):
@@ -413,7 +414,7 @@ def _failing_G(nan_shell, singular_shell):
     (3, 6, NonFiniteError), (8, 3, QuadratureError)])
 def test_zhat_raises_the_reference_error_of_its_first_failing_shell(
         nan_shell, singular_shell, error):
-    G = _failing_G(nan_shell, singular_shell)
+    G = bc.EffectivePotential(_failing_G(nan_shell, singular_shell))
     with pytest.raises(error) as batched:
         bc.zhat(G, J=10)
     with pytest.raises(error) as ref:

@@ -217,6 +217,20 @@ def test_a_grid_needs_a_finite_nonzero_kinetic_entry(t_min, t_max, n):
     assert bc.Grid1D(-1e150, 1e150, 5).h == 5e149
 
 
+def test_grids_past_the_node_ceiling_are_rejected():
+    # nothing is sampled at construction, so a grid at the ceiling costs nothing
+    top = spectra1d.MAX_NODES
+    assert bc.Grid1D(-1.0, 1.0, top).n == top
+    with pytest.raises(ValueError, match="grid needs 3 to 10000000 nodes"):
+        bc.Grid1D(-1.0, 1.0, top + 1)
+    # (6000 << 10) + 1 nodes on level 10 fit, (6000 << 11) + 1 on level 11 do not
+    assert bc.GridPolicy(t_half=30.0, n=6001, max_doublings=10).level_grid(10).n <= top
+    for n, doublings in ((6001, 11), (3, 23), (3, 24), (3, 10 ** 30)):
+        with pytest.raises(ValueError, match=f"^domain-doubling level {doublings} of a "
+                                             f"{n}-node base grid exceeds the ceiling"):
+            bc.GridPolicy(t_half=30.0, n=n, max_doublings=doublings)
+
+
 @pytest.mark.parametrize("n", [6000, 6001, 200, 201, 4, 3])
 def test_level_grids_share_the_base_spacing(n):
     policy = bc.GridPolicy(t_half=30.0, n=n)

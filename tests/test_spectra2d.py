@@ -17,11 +17,9 @@ from helpers import (ReferenceSingularPivot, _reference_block_sweep, reference_a
 
 def dense_pair(sys_, shift=0.0):
     """(N_-, N_- without the constant channel's t = 0 row) of ``to_dense()``
-    by eigvalsh, the second None on a grid without a t = 0 node."""
+    by eigvalsh."""
     A = sys_.to_dense(max_dimension=100000) - shift * np.eye(sys_.dimension)
     full = int(np.sum(np.linalg.eigvalsh(A) < 0))
-    if sys_.grid.zero_index is None:
-        return full, None
     keep = np.arange(sys_.dimension) != sys_.grid.zero_index * sys_.channel_set.size
     return full, int(np.sum(np.linalg.eigvalsh(A[np.ix_(keep, keep)]) < 0))
 
@@ -303,17 +301,22 @@ def test_pair_of_a_non_radial_spec_with_zero_modes():
 
 
 def test_pair_on_a_grid_without_a_zero_node():
+    # the block pass ends at the t = 0 slice: every 2D count refuses a grid
+    # without one, with the same error, radial or not
     grid = bc.Grid1D(-4.0, 4.0, 40)
     assert grid.zero_index is None
     for spec in (bc.gaussian_well(1.0, 1.0), random_trig_spec(np.random.default_rng(23), 4)):
-        sys_ = bc.assemble_full_2d(spec, 20.0, grid, channels=2)
-        full, tilde = dense_pair(sys_)
-        assert full > 0 and tilde is None
-        assert bc.count_full_2d(sys_) == (full, None)
+        counts = (lambda: bc.count_full_2d(bc.assemble_full_2d(spec, 20.0, grid, channels=2)),
+                  lambda: bc.count_tilde(spec, 20.0, grid, channels=2),
+                  lambda: bc.count_2d_auto(spec, 20.0, grid),
+                  lambda: bc.birman_schwinger_2d(spec, 0.05, grid, channels=2))
+        for count in counts:
+            with pytest.raises(ValueError, match="^this count needs a grid node at t = 0$"):
+                count()
 
 
 @pytest.mark.parametrize("grid", [bc.Grid1D.symmetric(4.0, 41), bc.Grid1D.symmetric(3.0, 62),
-                                  bc.Grid1D(-4.0, 4.0, 40), bc.Grid1D(-1.0, 3.0, 35)])
+                                  bc.Grid1D(-0.2, 7.8, 41), bc.Grid1D(-3.0, 1.0, 41)])
 def test_block_diagonal_pair_matches_dense_counts(grid):
     # both sides are all free tail, counted by one split Sturm pass over the
     # channels; the t = 0 slice closes both counts, whole and without its
@@ -326,10 +329,9 @@ def test_block_diagonal_pair_matches_dense_counts(grid):
             assert sys_.is_block_diagonal
             full, tilde = bc.count_full_2d(sys_)
             assert (full, tilde) == dense_pair(sys_), (spec.label, alpha)
-            if tilde is not None:
-                assert tilde <= full <= tilde + 1
-                seen += full - tilde
-    assert seen > 0 or grid.zero_index is None
+            assert tilde <= full <= tilde + 1
+            seen += full - tilde
+    assert seen > 0
 
 
 def test_block_sweep_retries_an_exactly_singular_pivot_at_the_shift(caplog):
@@ -382,7 +384,7 @@ def test_gathered_blocks_match_reference_slices_bytewise():
 def test_block_pass_matches_reference_and_dense_on_every_grid_shape():
     rng = np.random.default_rng(53)
     grids = (bc.Grid1D.symmetric(4.0, 41),  # t = 0 in the middle: sides of equal length
-             bc.Grid1D(-4.0, 4.0, 40),      # no t = 0 node: one side
+             bc.Grid1D(-0.2, 6.8, 36),      # t = 0 the first slice: one side
              bc.Grid1D(-2.0, 5.0, 36),      # the right side longer
              bc.Grid1D(-5.0, 2.0, 36))      # the left side longer
     for grid in grids:
@@ -396,8 +398,7 @@ def test_block_pass_matches_reference_and_dense_on_every_grid_shape():
 def tail_lengths(sys_):
     """(slices, free-tail length) of each side of the separator slice: left
     (t < 0, from the first slice), then right (from the last slice)."""
-    n_int, zero = sys_.chan_diag.shape[1], sys_.grid.zero_index
-    c = n_int - 1 if zero is None else zero
+    n_int, c = sys_.chan_diag.shape[1], sys_.grid.zero_index
     sides = (np.arange(c), np.arange(n_int - 1, c, -1))
     return [(side.size, spectra2d._free_tail(sys_, side) if side.size else 0) for side in sides]
 
@@ -435,9 +436,9 @@ def gauss_spec(width):
     (gauss_spec(3.0), bc.Grid1D.symmetric(2.0, 5), [(1, 0), (1, 0)]),
     (gauss_spec(3.0), bc.Grid1D.symmetric(2.0, 7), [(2, 0), (2, 0)]),
     (gauss_spec(3.0), bc.Grid1D.symmetric(2.0, 9), [(3, 0), (3, 0)]),
-    # no t = 0 node: one side, ending at the last slice, with and without a tail
-    (ring_spec(0.5, 2.0), bc.Grid1D(-3.0, 3.0, 40), [(37, 16), (0, 0)]),
-    (gauss_spec(1.0), bc.Grid1D(-3.0, 5.0, 40), [(37, 0), (0, 0)]),
+    # t = 0 the first or the last slice: one side, with and without a tail
+    (ring_spec(0.5, 2.0), bc.Grid1D(-0.2, 5.8, 31), [(0, 0), (28, 26)]),
+    (gauss_spec(1.0), bc.Grid1D(-3.8, 0.2, 21), [(18, 0), (0, 0)]),
     # a slowly decaying radial part under a compact mode inside the unit
     # circle: the right side is all tail, the left side has a tail, and both
     # tails have a varying diagonal
@@ -741,12 +742,11 @@ def test_a_pass_on_another_grid_starts_afresh(monkeypatch):
     continued = spy_continues(monkeypatch)
     passes = {}
     for grid in (bc.Grid1D.symmetric(3.0, 31), bc.Grid1D.symmetric(6.0, 63),  # h 0.2, then not
-                 bc.Grid1D.symmetric(12.0, 125), bc.Grid1D(-6.0, 6.0, 62)):  # no t = 0 node
+                 bc.Grid1D.symmetric(12.0, 125), bc.Grid1D.symmetric(12.0, 121)):  # h 0.2 again
         sys_ = bc.assemble_full_2d(gauss_spec(1.0), 40.0, grid, channels=2)
         assert bc.count_full_2d(sys_, passes) == bc.count_full_2d(sys_) == dense_pair(sys_)
-    # the third grid doubles the second; the fourth has no t = 0 node to carry
-    assert continued == [False, True]
-    assert passes[2].carried is None
+    # the third grid doubles the second; the fourth, as wide, has another h
+    assert continued == [False, True, False]
 
 
 def nested_system(level, singular_at):
@@ -873,7 +873,8 @@ def test_radial_consistency_exact():
         spec = bc.RadialPotential(profile=prof)
         alpha = float(np.exp(rng.uniform(np.log(2.0), np.log(80.0))))
         sys_ = bc.assemble_full_2d(spec, alpha, grid, max_dimension=10 ** 6)
-        assert bc.count_full_2d(sys_)[0] == bc.count_radial_2d(prof, alpha, grid)
+        G = bc.effective_potential(bc.decompose(spec))
+        assert bc.count_full_2d(sys_)[0] == bc.count_radial_2d(G, alpha, grid)
 
 
 def test_radial_tilde_equals_constrained_channel_sum():
